@@ -355,6 +355,27 @@ class CacheHierarchy:
             counts[MemCategory.NIC_TX_RD] += 1
 
     # ------------------------------------------------------------------
+    # prime+probe tenant (repro.sidechannel.observer)
+    # ------------------------------------------------------------------
+
+    def llc_probe(self, blocks: Sequence[int], ways: Sequence[int]) -> List[int]:
+        """Probe ``blocks`` in the LLC, then re-prime the missed ones.
+
+        Every block is probed with ``llc.access`` first; the missed
+        blocks are then re-inserted clean, in order, confined to
+        ``ways``. A line a re-prime evicts is discarded: no writeback
+        and no private-cache back-invalidation (DESIGN.md §12).
+        Returns the missed blocks in probe order.
+        """
+        llc_access = self.llc.access
+        missed = [block for block in blocks if not llc_access(block)]
+        insert = self.llc.insert
+        kind = int(RegionKind.APP)
+        for block in missed:
+            insert(block, False, kind, ways, True)
+        return missed
+
+    # ------------------------------------------------------------------
     # Sweeper
     # ------------------------------------------------------------------
 

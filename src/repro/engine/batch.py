@@ -8,9 +8,9 @@
 * ``batch`` — :class:`BatchHierarchy` below: per-set tag/dirty/kind/LRU
   state in preallocated numpy arrays (:mod:`repro.cache.soa`), with the
   whole per-request access cascade (ring refills, packet reads, workload
-  runs, TX writes, sweeps) resolved by the compiled ``batchcore.c``
-  kernel in a handful of batched calls instead of ~100 per-block dict
-  probes. Without a C compiler the same arrays are driven by the
+  runs, TX writes, sweeps, observer probe sweeps) resolved by the
+  compiled ``batchcore.c`` kernel in a handful of batched calls instead
+  of ~100 per-block dict probes. Without a C compiler the same arrays are driven by the
   pure-Python/numpy methods of :class:`~repro.cache.soa.SoaCache`
   (``REPRO_BATCH_BACKEND`` pins a backend explicitly).
 
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import ctypes
 import os
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -230,6 +230,7 @@ class BatchHierarchy(CacheHierarchy):
         self.invalidate_block = self._invalidate_block_native
         self.dma_rx_write_run = self._dma_rx_write_run_native
         self.dma_tx_read_run = self._dma_tx_read_run_native
+        self.llc_probe = self._llc_probe_native
 
     # ------------------------------------------------------------------
     # native entry points (same contracts as the CacheHierarchy methods)
@@ -353,3 +354,22 @@ class BatchHierarchy(CacheHierarchy):
         self._kernel.bc_dma_tx_read_run(
             self._ctx_ref, core_hint, bounds[0], bounds[1]
         )
+
+    def _llc_probe_native(
+        self, blocks: Sequence[int], ways: Sequence[int]
+    ) -> List[int]:
+        p_i64 = ctypes.POINTER(ctypes.c_int64)
+        blocks64 = np.ascontiguousarray(blocks, dtype=np.int64)
+        ways64 = np.ascontiguousarray(ways, dtype=np.int64)
+        missed = np.empty(len(blocks64), dtype=np.int64)
+        n = self._kernel.bc_llc_probe(
+            self._ctx_ref,
+            blocks64.ctypes.data_as(p_i64),
+            len(blocks64),
+            ways64.ctypes.data_as(p_i64),
+            len(ways64),
+            missed.ctypes.data_as(p_i64),
+        )
+        if n < 0:
+            raise ConfigError(f"{self.llc.name}: empty way mask for insert")
+        return missed[:n].tolist()

@@ -436,6 +436,31 @@ int64_t bc_invalidate_block(BHier *h, int64_t core, int64_t block,
     return dirty_seen;
 }
 
+/* Prime+probe sweep (port of CacheHierarchy.llc_probe): probe every
+ * block in the LLC, then re-prime the missed ones clean, in order,
+ * inside the way mask. A line a re-prime evicts is discarded: no
+ * writeback, no private-cache back-invalidation. Missed blocks are
+ * written to out_missed in probe order; returns their count, or -1 on
+ * an empty way mask (Python raises ConfigError). */
+int64_t bc_llc_probe(BHier *h, const int64_t *blocks, int64_t n,
+                     const int64_t *ways, int64_t ways_len,
+                     int64_t *out_missed)
+{
+    int64_t missed = 0;
+    for (int64_t i = 0; i < n; i++) {
+        if (!cache_access(h->llc, blocks[i], 0))
+            out_missed[missed++] = blocks[i];
+    }
+    for (int64_t i = 0; i < missed; i++) {
+        int64_t ev_block, ev_kind;
+        int ev_dirty;
+        if (cache_insert(h->llc, out_missed[i], 0, KIND_APP, ways, ways_len,
+                         1, &ev_block, &ev_dirty, &ev_kind) < 0)
+            return -1;
+    }
+    return missed;
+}
+
 void bc_dma_rx_write_run(BHier *h, int64_t core, int64_t start, int64_t n)
 {
     for (int64_t block = start; block < start + n; block++)

@@ -113,6 +113,17 @@ _SIGNATURES = {
     "bc_nic_probe_read_run": ([_P, c_int64, c_int64, c_int64], None),
     "bc_sweep_run": ([_P, c_int64, c_int64, c_int64], c_int64),
     "bc_invalidate_block": ([_P, c_int64, c_int64, c_int64], c_int64),
+    "bc_llc_probe": (
+        [
+            _P,
+            POINTER(c_int64),
+            c_int64,
+            POINTER(c_int64),
+            c_int64,
+            POINTER(c_int64),
+        ],
+        c_int64,
+    ),
     "bc_dma_rx_write_run": ([_P, c_int64, c_int64, c_int64], None),
     "bc_dma_tx_read_run": ([_P, c_int64, c_int64, c_int64], None),
 }

@@ -17,9 +17,9 @@ restore is all-or-nothing — every field is validated against the live
 simulator before anything is mutated, and any mismatch falls back to a
 normal warmup with a logged ``snapshot.fallback`` event. Observer
 points deterministically opt out (never capture, never restore): the
-prime+probe observer keys probes off absolute request indices and
-forces the object engine, so sharing warm state across observer specs
-would complicate the carve-out for no wall-clock win. Burst points
+observer only activates after warmup, but no two figS points share a
+warmup, so snapshots would buy them nothing, and restored == full has
+never been checked for them (DESIGN.md §14). Burst points
 restore exactly — the burst profile is part of the warmup fingerprint
 and the mutated backlog target is part of the captured state.
 

@@ -68,12 +68,11 @@ class TraceConfig:
     #: deliberately stays out of the point-cache fingerprint.
     engine: Optional[str] = None
     #: prime+probe attacker-observer tenant (None = off, the unchanged
-    #: hot path). Observer runs force the object engine — the observer
-    #: pokes the LLC line-by-line between requests, which the batch
-    #: engine's native context does not model — with a logged
-    #: ``observer.engine_fallback`` event (DESIGN.md §12). Unlike
-    #: ``engine``, the observer IS configuration: it perturbs the
-    #: simulation, so it participates in the point-cache fingerprint.
+    #: hot path). It runs on either engine: its probe sweep is one
+    #: ``CacheHierarchy.llc_probe`` call, a single kernel call on the
+    #: batch engine (DESIGN.md §12). Unlike ``engine``, the observer IS
+    #: configuration: it perturbs the simulation, so it participates in
+    #: the point-cache fingerprint.
     observer: Optional[ObserverConfig] = None
     #: seeded bursty-load modulation of the backlog target (None = the
     #: constant ``queued_depth`` target, the unchanged hot path). The
@@ -219,21 +218,10 @@ class TraceSimulator:
         system = cfg.system
         self.space = AddressSpace()
         self.engine = resolve_engine(cfg.engine)
-        # Engine seam (DESIGN.md §12): the observer probes the LLC
-        # object-by-object between requests, which the batch engine's
-        # native context does not model, so observer runs force the
-        # object engine. Explicit and logged — never a silent downgrade.
-        self.observer_engine_fallback = (
-            cfg.observer is not None and self.engine == "batch"
-        )
-        if self.observer_engine_fallback:
-            self.engine = "object"
-            obs_events.get_event_log().info(
-                "observer.engine_fallback",
-                requested="batch",
-                used="object",
-                reason="prime+probe observer requires the object engine",
-            )
+        #: Always False: observer points run on either engine (DESIGN.md
+        #: §12). Kept because per-layer tracing (sweepbench/spans.py)
+        #: counts object-engine fallback points from it.
+        self.observer_engine_fallback = False
         self.hier = build_hierarchy(system, self.engine)
         self.policy = cfg.make_policy()
         if isinstance(self.policy, DdioPolicy):

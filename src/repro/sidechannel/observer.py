@@ -108,7 +108,8 @@ class PrimeProbeObserver:
         self.active = False
         self.total_hits = 0
         self.total_misses = 0
-        self._lines: List[Tuple[int, int]] = []  # (set_index, block)
+        #: attacker blocks; block % num_sets is the monitored set
+        self._blocks: List[int] = []
         self._next_probe = -1
         self._last_request = 0
         self._last_arrivals = 0
@@ -161,12 +162,12 @@ class PrimeProbeObserver:
         num_sets = self.llc.num_sets
         total_blocks = -(-space.total_bytes // CACHE_BLOCK_BYTES)
         base = -(-total_blocks // num_sets) * num_sets  # multiple of sets
-        self._lines = [
-            (s, base + j * num_sets + s)
+        self._blocks = [
+            base + j * num_sets + s
             for s in self.monitored_sets
             for j in range(len(ways))
         ]
-        self._prime(self._lines)
+        self._prime(self._blocks)
         self.records = []
         self.total_hits = 0
         self.total_misses = 0
@@ -175,14 +176,14 @@ class PrimeProbeObserver:
         self.active = True
         self._schedule_next(start_index - 1)
 
-    def _prime(self, lines: List[Tuple[int, int]]) -> None:
+    def _prime(self, blocks: List[int]) -> None:
         insert = self.llc.insert
         ways = self.probe_ways
         kind = int(RegionKind.APP)
-        for _set_index, block in lines:
-            # Clean insert confined to the probed ways: an evicted
-            # attacker line never causes a writeback, like a real
-            # attacker priming with loads.
+        for block in blocks:
+            # Clean insert confined to the probed ways. Whatever line it
+            # evicts is discarded without a writeback charge, the same
+            # rule as llc_probe's re-prime (DESIGN.md §12).
             insert(block, False, kind, ways, True)
 
     # ------------------------------------------------------------------
@@ -194,22 +195,18 @@ class PrimeProbeObserver:
             self._probe(request_index)
 
     def _probe(self, request_index: int) -> None:
-        llc_access = self.llc.access
-        hits = 0
-        set_misses: Dict[str, int] = {}
-        missed: List[Tuple[int, int]] = []
-        for line in self._lines:
-            if llc_access(line[1]):
-                hits += 1
-            else:
-                key = str(line[0])
-                set_misses[key] = set_misses.get(key, 0) + 1
-                missed.append(line)
-        # Re-prime evicted lines so every probe starts fully primed.
-        if missed:
-            self._prime(missed)
-        arrivals = self._arrivals_fn()
+        # One hierarchy call probes every line and re-primes the evicted
+        # ones, so every probe starts fully primed (a single kernel call
+        # on the batch engine).
+        missed = self.hier.llc_probe(self._blocks, self.probe_ways)
         misses = len(missed)
+        hits = len(self._blocks) - misses
+        num_sets = self.llc.num_sets
+        set_misses: Dict[str, int] = {}
+        for block in missed:
+            key = str(block % num_sets)
+            set_misses[key] = set_misses.get(key, 0) + 1
+        arrivals = self._arrivals_fn()
         self.total_hits += hits
         self.total_misses += misses
         self.records.append(

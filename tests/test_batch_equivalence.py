@@ -11,10 +11,11 @@ same arrays). This suite enforces that contract at three granularities:
    (the eviction stream), :class:`CacheStats`, and final line state, for
    both replacement policies and non-trivial way masks.
 2. **Hierarchy fuzz** — the same idea one level up: random batched ops
-   (access runs, NIC writes/probes, sweeps, DMA, mask changes) against
-   ``CacheHierarchy`` vs ``BatchHierarchy``.
-3. **Harness equivalence** — every figure harness's first spec run end
-   to end under both engines, plus ``REPRO_EPOCH`` chunked runs and the
+   (access runs, NIC writes/probes, sweeps, DMA, prime+probe sweeps,
+   mask changes) against ``CacheHierarchy`` vs ``BatchHierarchy``.
+3. **Harness equivalence** — every figure harness's first and last spec
+   run end to end under both engines (the figS* observer points
+   included), plus ``REPRO_EPOCH`` chunked runs and the
    ``CollocationSimulator``, comparing every ``TraceResult`` field.
 """
 
@@ -156,7 +157,7 @@ def test_hierarchy_fuzz_identical(backend):
     counts_b = {lv: 0 for lv in AccessLevel}
 
     for step in range(3000):
-        op = rng.randrange(10)
+        op = rng.randrange(11)
         core = rng.randrange(system.cpu.num_cores)
         block = rng.randrange(blocks)
         kind = RegionKind(rng.randrange(3))
@@ -193,6 +194,16 @@ def test_hierarchy_fuzz_identical(backend):
             else:
                 a = oracle.dma_tx_read_run(core, run)
                 b = batch.dma_tx_read_run(core, run)
+        elif op == 9:
+            # prime+probe sweep: a random (unsorted) way mask and a
+            # random block list over a working set where NIC writes
+            # leave dirty lines for the re-primes to evict
+            ways = rng.sample(
+                range(system.llc.ways), rng.randrange(1, system.llc.ways + 1)
+            )
+            probe = [rng.randrange(blocks) for _ in range(rng.randrange(1, 17))]
+            a = oracle.llc_probe(probe, ways)
+            b = batch.llc_probe(probe, ways)
         else:
             # reconfigure mid-stream: masks and the victim-fill switch
             choice = rng.randrange(3)
@@ -239,6 +250,8 @@ FIG_MODULES = [
     "fig10",
     "headline",
     "zoo",
+    "figS1",
+    "figS2",
 ]
 
 
@@ -254,6 +267,10 @@ def _assert_results_equal(a, b) -> None:
     assert a.cache_totals == b.cache_totals
 
 
+def _without_engine(leak: dict) -> dict:
+    return {k: v for k, v in leak.items() if k != "engine"}
+
+
 def _cfg_from_spec(spec, engine: str) -> TraceConfig:
     """A fast TraceConfig for a figure spec (tiny request counts)."""
     return TraceConfig(
@@ -267,6 +284,8 @@ def _cfg_from_spec(spec, engine: str) -> TraceConfig:
         warmup_requests=192,
         measure_requests=256,
         engine=engine,
+        observer=spec.observer,
+        burst=spec.burst,
     )
 
 
@@ -277,9 +296,18 @@ def test_fig_harness_equivalence(fig, backend):
     assert specs, fig
     # First and last specs bracket the grid (different policies/knobs).
     for spec in (specs[0], specs[-1]):
-        obj = TraceSimulator(_cfg_from_spec(spec, "object")).run()
-        bat = TraceSimulator(_cfg_from_spec(spec, "batch")).run()
+        # Build and run one at a time: the spec's workload object is
+        # rebuilt by each simulator's constructor.
+        obj_sim = TraceSimulator(_cfg_from_spec(spec, "object"))
+        obj = obj_sim.run()
+        bat_sim = TraceSimulator(_cfg_from_spec(spec, "batch"))
+        bat = bat_sim.run()
         _assert_results_equal(obj, bat)
+        assert (obj.leak is None) == (spec.observer is None)
+        if obj.leak is not None:
+            assert (obj.leak["engine"], bat.leak["engine"]) == ("object", "batch")
+            assert _without_engine(obj.leak) == _without_engine(bat.leak)
+            assert obj_sim.observer.records == bat_sim.observer.records
 
 
 @pytest.mark.parametrize("policy", ["occamy", "rdca"])

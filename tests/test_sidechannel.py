@@ -9,9 +9,11 @@ Four contracts under test:
 2. **Observer determinism** — with a fixed probe seed, serial runs,
    ``REPRO_WORKERS>1`` runs, and ``REPRO_EPOCH`` chunked runs all
    produce identical probe timelines, leak summaries, and result rows.
-3. **Engine seam** — the observer forces the object engine (logged
-   fallback, identical results to an explicit object run); a burst
-   profile alone still runs under the batch engine bit-identically.
+3. **Engine seam** — observer points run on the batch engine with no
+   fallback, bit-identical to an explicit object run (leak summary
+   aside from its ``engine`` field, probe records, trace digest); a
+   re-prime discards its LLC victim on both engines; a burst profile
+   alone runs under the batch engine bit-identically.
 4. **Leak physics** — on the tiny machine the figS1 ordering holds:
    DMA pins MI near zero, DDIO maximizes it, DDIO+Sweeper lands below
    DDIO (and preserves more attacker lines).
@@ -27,7 +29,7 @@ import pytest
 from repro.cache.hierarchy import CacheHierarchy
 from repro.cache.set_assoc import SetAssociativeCache
 from repro.cache.soa import SoaCache
-from repro.engine.batch import BatchHierarchy
+from repro.engine.batch import BatchHierarchy, build_hierarchy
 from repro.engine.parallel import (
     PointSpec,
     last_run_dir,
@@ -44,7 +46,9 @@ from repro.errors import ConfigError
 from repro.experiments import figS1, figS2
 from repro.experiments.common import ExperimentSettings, point_row
 from repro.experiments import fig1
+from repro.mem.layout import RegionKind
 from repro.nic.arrivals import BurstProfile
+from repro.obs import events as obs_events
 from repro.obs.manifest import RunManifest
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.probes import validate_probe_record, validate_probe_timeline
@@ -412,21 +416,60 @@ def test_jittered_schedule_stays_deterministic():
 
 
 # ----------------------------------------------------------------------
-# 3. engine seam: observer forces object, burst alone stays batch
+# 3. engine seam: observer and burst points run on either engine
 # ----------------------------------------------------------------------
 
 
-def test_observer_forces_object_engine_with_identical_results():
-    fallback = TraceSimulator(tiny_cfg(engine="batch"))
-    assert fallback.observer_engine_fallback
-    assert fallback.engine == "object"
-    assert type(fallback.hier) is CacheHierarchy
+def _without_engine(leak: dict) -> dict:
+    return {k: v for k, v in leak.items() if k != "engine"}
+
+
+def test_observer_runs_on_batch_engine_with_identical_results(
+    monkeypatch, capsys
+):
+    monkeypatch.setenv("REPRO_LOG", "json")
+    monkeypatch.setenv("REPRO_LOG_LEVEL", "debug")
+    batch = TraceSimulator(tiny_cfg(engine="batch"))
+    assert batch.engine == "batch"
+    assert isinstance(batch.hier, BatchHierarchy)
+    assert not batch.observer_engine_fallback
     explicit = TraceSimulator(tiny_cfg(engine="object"))
-    assert not explicit.observer_engine_fallback
-    a, b = fallback.run(), explicit.run()
-    assert a.leak == b.leak
+    a, b = batch.run(), explicit.run()
+    # a marker proves the event log is captured before asserting absence
+    obs_events.get_event_log().info("test.marker")
+    events = [
+        json.loads(line)["event"]
+        for line in capsys.readouterr().err.splitlines()
+        if line.startswith("{")
+    ]
+    assert events[-1] == "test.marker"
+    assert "observer.engine_fallback" not in events
+    assert (a.leak["engine"], b.leak["engine"]) == ("batch", "object")
+    assert _without_engine(a.leak) == _without_engine(b.leak)
     assert _trace_digest(a) == _trace_digest(b)
-    assert fallback.observer.records == explicit.observer.records
+    assert batch.observer.records == explicit.observer.records
+
+
+@pytest.mark.parametrize("engine", ["object", "batch"])
+def test_reprime_discards_dirty_victim_without_traffic(engine):
+    """A re-prime's LLC victim is dropped: no writeback charge and no
+    L1/L2 back-invalidation (DESIGN.md §12), on both engines."""
+    system = make_tiny_system()
+    hier = build_hierarchy(system, engine)
+    victim = 5
+    hier.nic_llc_write_run(0, [victim])  # dirty RX line in the LLC
+    hier.cpu_access(0, victim, RegionKind.RX_BUFFER, False)
+    assert hier.llc.is_dirty(victim)
+    assert hier.l1s[0].contains(victim) and hier.l2s[0].contains(victim)
+    traffic = hier.traffic.snapshot()
+    dirty_evictions = hier.llc.stats.evictions_dirty
+    attacker = victim + 1000 * hier.llc.num_sets  # same set, never resident
+    missed = hier.llc_probe([attacker], (hier.llc.way_of(victim),))
+    assert missed == [attacker]
+    assert hier.llc.contains(attacker) and not hier.llc.contains(victim)
+    assert hier.llc.stats.evictions_dirty == dirty_evictions + 1
+    assert hier.traffic.snapshot() == traffic
+    assert hier.l1s[0].contains(victim) and hier.l2s[0].contains(victim)
 
 
 def test_burst_alone_runs_under_batch_engine(monkeypatch):
@@ -474,11 +517,16 @@ def test_mi_ordering_dma_below_sweeper_below_ddio():
 def test_run_manifest_records_observer_provenance(monkeypatch, tmp_path):
     monkeypatch.setenv("REPRO_NO_CACHE", "1")
     monkeypatch.setenv("REPRO_RUNS_DIR", str(tmp_path / "runs"))
-    run_points([tiny_spec("observed")], max_workers=1, run_label="probe")
+    monkeypatch.setenv("REPRO_ENGINE", "batch")
+    (result,) = run_points(
+        [tiny_spec("observed")], max_workers=1, run_label="probe"
+    )
     run_dir = last_run_dir()
     timelines, probes = validate_run_dir(run_dir)
     assert probes == 1
     manifest = RunManifest.load(run_dir / "manifest.json")
+    # the manifest's engine is the one the observer point really ran on
+    assert manifest.engine == result.trace.leak["engine"] == "batch"
     (point,) = manifest.points
     assert point.probe_file.startswith("probes/")
     assert point.observer.startswith("ObserverConfig(")
