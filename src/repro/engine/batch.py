@@ -10,7 +10,11 @@
   whole per-request access cascade (ring refills, packet reads, workload
   runs, TX writes, sweeps, observer probe sweeps) resolved by the
   compiled ``batchcore.c`` kernel in a handful of batched calls instead
-  of ~100 per-block dict probes. Without a C compiler the same arrays are driven by the
+  of ~100 per-block dict probes. With the kernel loaded,
+  :meth:`BatchHierarchy.run_request_loop` also services whole segments
+  of requests in one ``bc_run_requests`` call; the trace simulator
+  decides when that is allowed (DESIGN.md §11, "Fused request loop").
+  Without a C compiler the same arrays are driven by the
   pure-Python/numpy methods of :class:`~repro.cache.soa.SoaCache`
   (``REPRO_BATCH_BACKEND`` pins a backend explicitly).
 
@@ -44,6 +48,20 @@ ENGINES = ("object", "batch")
 
 #: C return level -> AccessLevel member (index 0 unused).
 _LEVELS = (None, AccessLevel.L1, AccessLevel.L2, AccessLevel.LLC, AccessLevel.MEM)
+
+#: entry points rebound to ``_<name>_native`` when the kernel loads
+_NATIVE_METHODS = (
+    "cpu_access",
+    "cpu_access_run",
+    "cpu_access_batch",
+    "nic_llc_write_run",
+    "nic_probe_read_run",
+    "sweep_run",
+    "invalidate_block",
+    "dma_rx_write_run",
+    "dma_tx_read_run",
+    "llc_probe",
+)
 
 
 def engine_from_env() -> str:
@@ -221,16 +239,42 @@ class BatchHierarchy(CacheHierarchy):
 
     def _bind_native(self) -> None:
         """Shadow the batched entry points with single C calls."""
-        self.cpu_access = self._cpu_access_native
-        self.cpu_access_run = self._cpu_access_run_native
-        self.cpu_access_batch = self._cpu_access_batch_native
-        self.nic_llc_write_run = self._nic_llc_write_run_native
-        self.nic_probe_read_run = self._nic_probe_read_run_native
-        self.sweep_run = self._sweep_run_native
-        self.invalidate_block = self._invalidate_block_native
-        self.dma_rx_write_run = self._dma_rx_write_run_native
-        self.dma_tx_read_run = self._dma_tx_read_run_native
-        self.llc_probe = self._llc_probe_native
+        for name in _NATIVE_METHODS:
+            setattr(self, name, getattr(self, f"_{name}_native"))
+
+    def native_intact(self) -> bool:
+        """True while every entry point ``_bind_native`` bound is still
+        the native method, i.e. nothing wrapped one on the instance."""
+        if self._kernel is None:
+            return False
+        cls, bound = type(self), self.__dict__
+        return all(
+            getattr(bound.get(name), "__func__", None)
+            is getattr(cls, f"_{name}_native")
+            for name in _NATIVE_METHODS
+        )
+
+    def run_request_loop(
+        self,
+        loop: "native.BLoop",
+        start: int,
+        count: int,
+        depths: Optional[np.ndarray],
+        depth: int,
+        ops: np.ndarray,
+    ) -> int:
+        """Service ``count`` requests in one ``bc_run_requests`` call;
+        returns how many were serviced (see ``batchcore.c``)."""
+        p_i64 = ctypes.POINTER(ctypes.c_int64)
+        return self._kernel.bc_run_requests(
+            self._ctx_ref,
+            ctypes.byref(loop),
+            start,
+            count,
+            None if depths is None else depths.ctypes.data_as(p_i64),
+            depth,
+            ops.ctypes.data_as(p_i64),
+        )
 
     # ------------------------------------------------------------------
     # native entry points (same contracts as the CacheHierarchy methods)

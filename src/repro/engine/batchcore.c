@@ -474,3 +474,144 @@ void bc_dma_tx_read_run(BHier *h, int64_t core, int64_t start, int64_t n)
         bc_invalidate_block(h, core, block, /*discard_dirty=*/0);
     h->traffic[CAT_NIC_TX_RD] += n;
 }
+
+/* ------------------------------------------------------------------ */
+/* fused request loop (port of TraceSimulator.service_one)             */
+/* ------------------------------------------------------------------ */
+
+#define POLICY_DDIO 0
+#define POLICY_DMA 1
+#define POLICY_IDEAL 2
+
+#define KIND_RX 0
+#define KIND_TX 1
+
+/* BLoop.counts cells; LOOP_LEVELS..+4 are indexed by AccessLevel. */
+#define LOOP_TRANSMISSIONS 0
+#define LOOP_NIC_SWEEPS 1
+#define LOOP_RELINQUISH_CALLS 2
+#define LOOP_CLSWEEPS 3
+#define LOOP_LINES_DROPPED 4
+#define LOOP_LEVELS 5
+
+/* Ring geometry, per-core cursors and the switches service_one reads.
+ * The cursors are copies of the Python ring fields, synced around each
+ * call by the caller. */
+typedef struct {
+    int64_t num_cores;
+    int64_t policy;        /* POLICY_* */
+    int64_t relinquish;    /* CPU relinquish after a copied response */
+    int64_t zc_sweep;      /* NIC sweeps a zero-copy RX buffer */
+    int64_t tx_sweep;      /* NIC sweeps a copied TX buffer */
+    int64_t packet_blocks;
+    int64_t rx_entries;
+    int64_t tx_entries;
+    int64_t *rx_base;      /* per core: first block of the RX ring */
+    int64_t *tx_base;      /* per core: first block of the TX ring */
+    int64_t *rx_head;
+    int64_t *rx_tail;
+    int64_t *rx_drops;
+    int64_t *rx_posted;
+    int64_t *tx_next;
+    int64_t *counts;       /* LOOP_* cells, accumulated */
+} BLoop;
+
+/* CPU access to a network buffer: ideal DDIO serves it at LLC level
+ * from its side cache without touching the hierarchy. */
+static void buffer_access_run(BHier *h, const BLoop *q, int64_t core,
+                              int64_t start, int64_t n, int64_t kind,
+                              int64_t write)
+{
+    if (q->policy == POLICY_IDEAL)
+        q->counts[LOOP_LEVELS + LEVEL_LLC] += n;
+    else
+        bc_cpu_access_run(h, core, start, n, kind, write,
+                          q->counts + LOOP_LEVELS);
+}
+
+static void nic_transmit(BHier *h, BLoop *q, int64_t core, int64_t start,
+                         int64_t n, int64_t sweep)
+{
+    if (q->policy == POLICY_DDIO)
+        bc_nic_probe_read_run(h, core, start, n);
+    else if (q->policy == POLICY_DMA)
+        bc_dma_tx_read_run(h, core, start, n);
+    if (sweep)
+        q->counts[LOOP_NIC_SWEEPS] += bc_sweep_run(h, core, start, n);
+    q->counts[LOOP_TRANSMISSIONS] += 1;
+}
+
+/* Service requests start..start+count-1 (core = index % num_cores).
+ * ``ops`` holds each request's application ops in order: the header
+ * (n_reads, n_read_runs, n_writes, n_write_runs, response_blocks), then
+ * the read blocks, the (start, n) read runs, the write blocks and the
+ * (start, n) write runs. ``depths`` is the per-request backlog target,
+ * or NULL for the constant ``depth``. Returns the number of requests
+ * serviced; fewer than ``count`` means the next one found its RX ring
+ * empty (Python raises ProtocolError). */
+int64_t bc_run_requests(BHier *h, BLoop *q, int64_t start, int64_t count,
+                        const int64_t *depths, int64_t depth,
+                        const int64_t *ops)
+{
+    const int64_t pb = q->packet_blocks;
+    int64_t *levels = q->counts + LOOP_LEVELS;
+    for (int64_t k = 0; k < count; k++) {
+        int64_t core = (start + k) % q->num_cores;
+
+        /* RX refill up to the backlog target; the first drop ends it. */
+        int64_t target = depths != NULL ? depths[k] : depth;
+        int64_t need = (target > 1 ? target : 1)
+                       - (q->rx_head[core] - q->rx_tail[core]);
+        for (; need > 0; need--) {
+            if (q->rx_head[core] - q->rx_tail[core] >= q->rx_entries) {
+                q->rx_drops[core] += 1;
+                break;
+            }
+            int64_t slot = q->rx_head[core]++;
+            q->rx_posted[core] += 1;
+            int64_t blk = q->rx_base[core] + (slot % q->rx_entries) * pb;
+            if (q->policy == POLICY_DDIO)
+                bc_nic_llc_write_run(h, core, blk, pb, KIND_RX);
+            else if (q->policy == POLICY_DMA)
+                bc_dma_rx_write_run(h, core, blk, pb);
+        }
+
+        /* Consume and read the packet. */
+        if (q->rx_head[core] - q->rx_tail[core] <= 0)
+            return k;
+        int64_t slot = q->rx_tail[core]++;
+        int64_t rx = q->rx_base[core] + (slot % q->rx_entries) * pb;
+        buffer_access_run(h, q, core, rx, pb, KIND_RX, 0);
+
+        /* Application work. */
+        int64_t n_reads = ops[0], n_read_runs = ops[1];
+        int64_t n_writes = ops[2], n_write_runs = ops[3];
+        int64_t response = ops[4];
+        ops += 5;
+        for (int64_t i = 0; i < n_reads; i++)
+            levels[bc_cpu_access(h, core, *ops++, KIND_APP, 0)] += 1;
+        for (int64_t i = 0; i < n_read_runs; i++, ops += 2)
+            bc_cpu_access_run(h, core, ops[0], ops[1], KIND_APP, 0, levels);
+        for (int64_t i = 0; i < n_writes; i++)
+            levels[bc_cpu_access(h, core, *ops++, KIND_APP, 1)] += 1;
+        for (int64_t i = 0; i < n_write_runs; i++, ops += 2)
+            bc_cpu_access_run(h, core, ops[0], ops[1], KIND_APP, 1, levels);
+
+        if (response > 0) {
+            /* Copy the response into the next TX buffer and send it. */
+            int64_t tx_slot = q->tx_next[core]++;
+            int64_t tx = q->tx_base[core] + (tx_slot % q->tx_entries) * pb;
+            buffer_access_run(h, q, core, tx, response, KIND_TX, 1);
+            nic_transmit(h, q, core, tx, response, q->tx_sweep);
+            if (q->relinquish) {
+                q->counts[LOOP_RELINQUISH_CALLS] += 1;
+                q->counts[LOOP_CLSWEEPS] += pb;
+                q->counts[LOOP_LINES_DROPPED] += bc_sweep_run(h, core, rx, pb);
+            }
+        } else {
+            /* Zero-copy: the RX buffer itself goes to the NIC. */
+            nic_transmit(h, q, core, rx, pb, q->zc_sweep);
+        }
+    }
+    return count;
+}

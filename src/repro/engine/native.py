@@ -85,6 +85,27 @@ class BHier(ctypes.Structure):
     ]
 
 
+class BLoop(ctypes.Structure):
+    _fields_ = [
+        ("num_cores", c_int64),
+        ("policy", c_int64),
+        ("relinquish", c_int64),
+        ("zc_sweep", c_int64),
+        ("tx_sweep", c_int64),
+        ("packet_blocks", c_int64),
+        ("rx_entries", c_int64),
+        ("tx_entries", c_int64),
+        ("rx_base", POINTER(c_int64)),
+        ("tx_base", POINTER(c_int64)),
+        ("rx_head", POINTER(c_int64)),
+        ("rx_tail", POINTER(c_int64)),
+        ("rx_drops", POINTER(c_int64)),
+        ("rx_posted", POINTER(c_int64)),
+        ("tx_next", POINTER(c_int64)),
+        ("counts", POINTER(c_int64)),
+    ]
+
+
 _P = POINTER(BHier)
 
 #: exported function name -> (argtypes, restype)
@@ -126,6 +147,18 @@ _SIGNATURES = {
     ),
     "bc_dma_rx_write_run": ([_P, c_int64, c_int64, c_int64], None),
     "bc_dma_tx_read_run": ([_P, c_int64, c_int64, c_int64], None),
+    "bc_run_requests": (
+        [
+            _P,
+            POINTER(BLoop),
+            c_int64,
+            c_int64,
+            POINTER(c_int64),
+            c_int64,
+            POINTER(c_int64),
+        ],
+        c_int64,
+    ),
 }
 
 

@@ -20,10 +20,18 @@ Cores are serviced round-robin, which interleaves their cache footprints
 the way concurrent execution would. Statistics are reset after a warmup
 long enough to wrap every RX ring twice, so all measurements reflect
 steady state.
+
+``service_one`` is the reference implementation of these steps. On the
+batch engine's native backend, ``run_requests`` instead generates each
+segment's ops in Python and runs the whole segment in one
+``bc_run_requests`` kernel call, when the simulator's objects allow it
+(``_fusable``). The ring, NIC and Sweeper objects stay the source of
+truth between calls (DESIGN.md §11, "Fused request loop").
 """
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -33,11 +41,18 @@ from repro.cache.hierarchy import AccessLevel
 from repro.cache.set_assoc import SetAssociativeCache
 from repro.cache.soa import SoaCache
 from repro.core.api import Sweeper
+from repro.engine import native
 from repro.engine.batch import build_hierarchy, resolve_engine
-from repro.errors import ConfigError
+from repro.errors import ConfigError, ProtocolError
 from repro.mem.layout import AddressSpace, RegionKind
 from repro.nic.arrivals import BacklogController, BurstProfile
-from repro.nic.ddio import DdioPolicy, InjectionPolicy, make_policy
+from repro.nic.ddio import (
+    DdioPolicy,
+    DmaPolicy,
+    IdealDdioPolicy,
+    InjectionPolicy,
+    make_policy,
+)
 from repro.nic.qp import NicEngine, QueuePair
 from repro.nic.rings import RxRing, TxRing, build_rings
 from repro.obs import events as obs_events
@@ -205,6 +220,99 @@ def _restore_cache(cache, st) -> None:
         cache._lcg = st["lcg"]
 
 
+#: requests per fused kernel call; bounds the op buffer, not results
+_SEGMENT = 2048
+
+#: built-in injection policies the fused loop runs, by kernel code
+_POLICY_CODES = {DdioPolicy: 0, DmaPolicy: 1, IdealDdioPolicy: 2}
+
+
+class _FusedLoop:
+    """Ring geometry and cursor buffers for ``bc_run_requests``.
+
+    The Python rings, NIC and Sweeper stay the source of truth between
+    calls (the observer, snapshots and the epoch sampler read them):
+    each call copies the ring cursors in and back out, then adds the
+    call's transmissions, sweeps and level counts to their counters.
+    """
+
+    def __init__(self, sim: "TraceSimulator") -> None:
+        cores = len(sim.rx_rings)
+        #: rows: RX head, tail, drops, posted; TX next slot
+        self.cursors = np.zeros((5, cores), dtype=np.int64)
+        self.bases = np.array(
+            [
+                [r.slot_blocks(0).start for r in sim.rx_rings],
+                [t.slot_blocks(0).start for t in sim.tx_rings],
+            ],
+            dtype=np.int64,
+        )
+        #: LOOP_* cells of batchcore.c: transmissions, NIC sweeps,
+        #: relinquish calls, clsweeps, lines dropped, then AccessLevel
+        self.counts = np.zeros(10, dtype=np.int64)
+        p_i64 = ctypes.POINTER(ctypes.c_int64)
+        c = self.cursors
+        self.struct = native.BLoop(
+            num_cores=cores,
+            packet_blocks=sim._packet_blocks,
+            rx_entries=sim.rx_rings[0].num_entries,
+            tx_entries=sim.tx_rings[0].num_entries,
+            rx_base=self.bases[0].ctypes.data_as(p_i64),
+            tx_base=self.bases[1].ctypes.data_as(p_i64),
+            rx_head=c[0].ctypes.data_as(p_i64),
+            rx_tail=c[1].ctypes.data_as(p_i64),
+            rx_drops=c[2].ctypes.data_as(p_i64),
+            rx_posted=c[3].ctypes.data_as(p_i64),
+            tx_next=c[4].ctypes.data_as(p_i64),
+            counts=self.counts.ctypes.data_as(p_i64),
+        )
+
+    def run(
+        self,
+        sim: "TraceSimulator",
+        start: int,
+        count: int,
+        depths: Optional[np.ndarray],
+        ops: np.ndarray,
+    ) -> None:
+        """Service requests ``start..start+count-1`` in one kernel call."""
+        cfg, rx, tx = sim.cfg, sim.rx_rings, sim.tx_rings
+        st = self.struct
+        st.policy = _POLICY_CODES[type(sim.policy)]
+        st.relinquish = int(cfg.sweeper and sim.sweeper.enabled)
+        st.zc_sweep = int(cfg.sweeper)
+        st.tx_sweep = int(cfg.sweeper and cfg.nic_tx_sweep)
+        self.cursors[:] = [
+            [r.head for r in rx],
+            [r.tail for r in rx],
+            [r.drops for r in rx],
+            [r.posted for r in rx],
+            [t._next for t in tx],
+        ]
+        self.counts[:] = 0
+        done = sim.hier.run_request_loop(
+            st, start, count, depths, sim.backlog.target_depth, ops
+        )
+        heads, tails, drops, posted, nexts = self.cursors.tolist()
+        for r, h, t, d, p in zip(rx, heads, tails, drops, posted):
+            r.head, r.tail, r.drops, r.posted = h, t, d, p
+        for t, n in zip(tx, nexts):
+            t._next = n
+        sent, nic_swept, calls, clsweeps, dropped, _, *levels = self.counts.tolist()
+        sim.nic.transmissions += sent
+        sim.nic.nic_sweeps += nic_swept
+        stats = sim.sweeper.stats
+        stats.relinquish_calls += calls
+        stats.clsweep_instructions += clsweeps
+        stats.lines_dropped += dropped
+        level_counts = sim._level_counts
+        for level, n in zip(AccessLevel, levels):
+            level_counts[level] += n
+        if done < count:
+            core = (start + done) % len(rx)
+            raise ProtocolError(f"core {core}: consume on empty RX ring")
+
+
 class TraceSimulator:
     """Drives the per-request loop over the cache hierarchy."""
 
@@ -258,6 +366,7 @@ class TraceSimulator:
         self._level_counts: Dict[AccessLevel, int] = {lv: 0 for lv in AccessLevel}
         self._cpu_work_cycles = 0.0
         self._packet_blocks = system.nic.blocks_per_packet
+        self._fused: Optional[_FusedLoop] = None
         # Policies are stateless, so the fixed service level per region
         # kind (ideal-DDIO's side cache) is resolved once up front.
         self._buffer_level: Dict[RegionKind, Optional[AccessLevel]] = {
@@ -333,18 +442,13 @@ class TraceSimulator:
         rx_blocks = ring.slot_blocks(slot)
 
         # CPU consumes the packet.
-        if cfg.workload.reads_full_packet():
-            self._cpu_access_run(
-                core,
-                rx_blocks.start,
-                len(rx_blocks),
-                RegionKind.RX_BUFFER,
-                write=False,
-            )
-        else:
-            self._cpu_access(
-                core, rx_blocks.start, RegionKind.RX_BUFFER, write=False
-            )
+        self._cpu_access_run(
+            core,
+            rx_blocks.start,
+            len(rx_blocks),
+            RegionKind.RX_BUFFER,
+            write=False,
+        )
 
         # Application work.
         ops = cfg.workload.request(core)
@@ -403,7 +507,13 @@ class TraceSimulator:
         runs probe at identical points. The burst profile likewise keys
         its backlog target off the absolute index. With neither feature
         the loop is byte-for-byte the unobserved one.
+
+        When ``_fusable`` allows it, the same requests run as native
+        segments instead (``_run_fused``), with identical results.
         """
+        if self._fusable():
+            self._run_fused(count, start)
+            return
         cores = self.cfg.system.cpu.num_cores
         observer = self.observer
         burst = self.cfg.burst
@@ -420,6 +530,94 @@ class TraceSimulator:
             if tick is not None:
                 tick(i)
             self.service_one(i % cores)
+
+    # ------------------------------------------------------------------
+    # fused request loop (DESIGN.md §11)
+    # ------------------------------------------------------------------
+
+    def _fusable(self) -> bool:
+        """Whether ``run_requests`` may hand whole segments to the
+        kernel's ``bc_run_requests``: the native batch backend, this
+        exact class and a stateless built-in policy, and no instance
+        wrapper on a method the kernel would bypass (per-layer tracing
+        wraps them, and must see every call)."""
+        hier, policy, sweeper = self.hier, self.policy, self.sweeper
+        workload = self.cfg.workload
+        return (
+            getattr(hier, "backend", None) == "native"
+            and type(self) is TraceSimulator
+            and type(policy) in _POLICY_CODES
+            and (not sweeper.enabled or sweeper.permission_granted)
+            and type(workload).request_cycles is Workload.request_cycles
+            and "request_cycles" not in vars(workload)
+            and hier.native_intact()
+            and "process_one" not in vars(self.nic)
+            and "relinquish_blocks" not in vars(sweeper)
+            and "rx_write_run" not in vars(policy)
+            and "tx_read_run" not in vars(policy)
+        )
+
+    def _run_fused(self, count: int, start: int) -> None:
+        """``run_requests`` as kernel calls of at most ``_SEGMENT``
+        requests. A segment also ends at the observer's next probe, so
+        every probe runs in Python between two calls, exactly where
+        the per-request loop would run it."""
+        if self._fused is None:
+            self._fused = _FusedLoop(self)
+        observer = self.observer
+        if observer is not None and not observer.active:
+            observer = None
+        end = start + count
+        i = start
+        while i < end:
+            stop = min(end, i + _SEGMENT)
+            if observer is not None:
+                observer.tick(i)
+                stop = min(stop, observer._next_probe)
+            self._run_segment(i, stop)
+            i = stop
+        burst = self.cfg.burst
+        if burst is not None and count > 0:
+            self.backlog.target_depth = burst.depth(end - 1)
+
+    def _run_segment(self, start: int, stop: int) -> None:
+        """Generate and encode the segment's ops, then run it natively."""
+        workload = self.cfg.workload
+        request = workload.request
+        cores = self.cfg.system.cpu.num_cores
+        packet_blocks = self._packet_blocks
+        base, per_block = workload.base_cycles, workload.cycles_per_block
+        cycles = self._cpu_work_cycles
+        encoded: List[int] = []
+        put = encoded.extend
+        for i in range(start, stop):
+            ops = request(i % cores)
+            reads, read_runs = ops.app_reads, ops.read_runs
+            writes, write_runs = ops.app_writes, ops.write_runs
+            response = ops.response_blocks
+            put((len(reads), len(read_runs), len(writes), len(write_runs), response))
+            put(reads)
+            touched = len(reads) + len(writes) + packet_blocks + response
+            # Unpacking checks each run is a (start, n) pair, so the
+            # kernel's reads stay inside the buffer.
+            for run_start, n in read_runs:
+                put((run_start, n))
+                touched += n
+            put(writes)
+            for run_start, n in write_runs:
+                put((run_start, n))
+                touched += n
+            # Workload.request_cycles, accumulated request by request so
+            # the float sum is the per-request loop's, bit for bit.
+            cycles += base + per_block * touched
+        self._cpu_work_cycles = cycles
+        burst = self.cfg.burst
+        depths = (
+            None
+            if burst is None
+            else np.array([burst.depth(i) for i in range(start, stop)], np.int64)
+        )
+        self._fused.run(self, start, stop - start, depths, np.array(encoded, np.int64))
 
     def _reset_measurements(self) -> None:
         self.hier.traffic.reset()

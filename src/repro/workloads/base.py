@@ -85,10 +85,6 @@ class Workload(abc.ABC):
     def request(self, core: int) -> RequestOps:
         """Generate the application accesses of the next request."""
 
-    def reads_full_packet(self) -> bool:
-        """Whether the CPU reads every block of the incoming packet."""
-        return True
-
     def cache_key(self) -> str:
         """Deterministic identity for persistent result caching.
 

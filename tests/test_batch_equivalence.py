@@ -3,7 +3,7 @@
 The batch engine (``repro.engine.batch``) promises *bit-identical*
 results to the dict-based object engine, for both its backends (the
 compiled ``batchcore.c`` kernel and the pure-Python fallback driving the
-same arrays). This suite enforces that contract at three granularities:
+same arrays). This suite enforces that contract at four granularities:
 
 1. **Cache fuzz** — a seeded random op sequence replayed against
    :class:`~repro.cache.set_assoc.SetAssociativeCache` and
@@ -17,6 +17,9 @@ same arrays). This suite enforces that contract at three granularities:
    run end to end under both engines (the figS* observer points
    included), plus ``REPRO_EPOCH`` chunked runs and the
    ``CollocationSimulator``, comparing every ``TraceResult`` field.
+4. **Fused request loop** — configs no figure grid reaches, run on the
+   object engine, the native kernel's fused loop (``bc_run_requests``)
+   and the batch per-request loop, comparing results and loop state.
 """
 
 from __future__ import annotations
@@ -38,8 +41,10 @@ from repro.engine.tracer import (
 )
 from repro.experiments.common import ExperimentSettings
 from repro.mem.layout import RegionKind
+from repro.nic.arrivals import BurstProfile
 from repro.obs.timeline import ObsContext
 from repro.params import CacheParams
+from repro.sidechannel.observer import ObserverConfig
 from repro.workloads.xmem import XMemWorkload
 from tests.conftest import make_tiny_kvs, make_tiny_l3fwd, make_tiny_system
 
@@ -372,6 +377,133 @@ def test_collocation_equivalence(backend, overlap):
     _assert_results_equal(a.nf_result, b.nf_result)
     assert a.xmem_accesses == b.xmem_accesses
     assert a.xmem_level_counts == b.xmem_level_counts
+
+
+# ---------------------------------------------------------------------------
+# 4. the fused request loop (bc_run_requests) vs the per-request loop
+# ---------------------------------------------------------------------------
+
+needs_native = pytest.mark.skipif(not _NATIVE, reason="no C compiler")
+
+
+def _zero_copy_l3fwd():
+    return make_tiny_l3fwd(zero_copy=True)
+
+
+#: configs no figure grid reaches, plus DMA/ideal with Sweeper on and an
+#: observer + burst point chunked at epoch boundaries
+FUSED_CONFIGS = {
+    "zero-copy": dict(workload=_zero_copy_l3fwd, sweeper=True),
+    "zero-copy-no-sweeper": dict(workload=_zero_copy_l3fwd),
+    "nic-tx-sweep": dict(sweeper=True, nic_tx_sweep=True),
+    "rx-overflow-drops": dict(
+        system=make_tiny_system(rx_buffers=16), queued_depth=24, sweeper=True
+    ),
+    "dma-sweeper": dict(policy="dma", sweeper=True, queued_depth=8),
+    "ideal-sweeper": dict(policy="ideal", sweeper=True, queued_depth=8),
+    "observer-burst-epochs": dict(
+        sweeper=True,
+        observer=ObserverConfig(sets=8, period=5, jitter=2),
+        burst=BurstProfile(low=1, high=40, window=12),
+        epoch_requests=70,
+    ),
+}
+
+
+def _passthrough(fn):
+    def wrapper(*args, **kwargs):
+        wrapper.calls += 1
+        return fn(*args, **kwargs)
+
+    wrapper.calls = 0
+    return wrapper
+
+
+def _fused_run(name: str, engine: str, per_request: bool = False):
+    """Run one FUSED_CONFIGS entry; ``per_request`` wraps
+    ``nic.process_one``, which forces the per-request loop."""
+    kw = dict(FUSED_CONFIGS[name])
+    epoch = kw.pop("epoch_requests", None)
+    kw.setdefault("system", make_tiny_system())
+    workload = kw.pop("workload", make_tiny_kvs)()
+    cfg = TraceConfig(
+        workload=workload,
+        warmup_requests=300,
+        measure_requests=400,
+        engine=engine,
+        **kw,
+    )
+    obs = ObsContext(epoch_requests=epoch) if epoch else None
+    sim = TraceSimulator(cfg, obs=obs)
+    if per_request:
+        sim.nic.process_one = _passthrough(sim.nic.process_one)
+    result = sim.run()
+    return sim, result, obs
+
+
+def _loop_state(sim):
+    return (
+        [(r.head, r.tail, r.drops, r.posted) for r in sim.rx_rings],
+        [t._next for t in sim.tx_rings],
+        sim.nic.transmissions,
+        sim.sweeper.stats.as_dict(),
+        sim.backlog.target_depth,
+    )
+
+
+@needs_native
+@pytest.mark.parametrize("name", sorted(FUSED_CONFIGS))
+def test_fused_loop_equivalence(name, monkeypatch):
+    monkeypatch.setenv("REPRO_BATCH_BACKEND", "native")
+    runs = [
+        _fused_run(name, "object"),
+        _fused_run(name, "batch"),
+        _fused_run(name, "batch", per_request=True),
+    ]
+    assert runs[1][0]._fused is not None, "fused loop did not run"
+    assert runs[2][0]._fused is None, "per-request loop did not run"
+    oracle_sim, oracle, oracle_obs = runs[0]
+    if name == "rx-overflow-drops":
+        assert oracle.drops > 0
+    for sim, result, obs in runs[1:]:
+        _assert_results_equal(oracle, result)
+        assert (result.leak is None) == (oracle.leak is None)
+        if oracle.leak is not None:
+            assert _without_engine(result.leak) == _without_engine(oracle.leak)
+        assert _loop_state(sim) == _loop_state(oracle_sim)
+        if obs is not None:
+            assert obs.timeline == oracle_obs.timeline
+        if sim.observer is not None:
+            assert sim.observer.records == oracle_sim.observer.records
+
+
+@needs_native
+def test_instance_wrapper_sees_every_request(monkeypatch):
+    """A wrapper on ``nic.process_one`` (per-layer tracing's contract)
+    forces the per-request loop: it runs once per simulated request,
+    and the result is the fused run's."""
+    monkeypatch.setenv("REPRO_BATCH_BACKEND", "native")
+
+    def run(wrap):
+        cfg = TraceConfig(
+            system=make_tiny_system(),
+            workload=make_tiny_kvs(),
+            sweeper=True,
+            warmup_requests=150,
+            measure_requests=250,
+            engine="batch",
+        )
+        sim = TraceSimulator(cfg)
+        if wrap:
+            sim.nic.process_one = _passthrough(sim.nic.process_one)
+        return sim, sim.run()
+
+    wrapped_sim, wrapped = run(wrap=True)
+    plain_sim, plain = run(wrap=False)
+    assert wrapped_sim.nic.process_one.calls == 150 + 250
+    assert plain_sim._fused is not None
+    _assert_results_equal(wrapped, plain)
+    assert _loop_state(wrapped_sim) == _loop_state(plain_sim)
 
 
 def test_manifest_records_engine(monkeypatch, tmp_path):
