@@ -1,8 +1,8 @@
 """Coordinator-side state of the cluster: workers, leases, pending points.
 
 The scheduler's execution seam hands points here instead of a local
-``ProcessPoolExecutor`` when the daemon runs with ``--backend cluster``
-(or ``hybrid``): :meth:`ClusterCoordinator.submit` returns a plain
+``ProcessPoolExecutor`` when the daemon runs with ``--backend cluster``:
+:meth:`ClusterCoordinator.submit` returns a plain
 :class:`concurrent.futures.Future` that the existing per-job wait /
 retry / timeout loop consumes unchanged. Worker agents then drive the
 other side over the wire protocol (:mod:`repro.cluster.protocol`):
@@ -19,9 +19,11 @@ other side over the wire protocol (:mod:`repro.cluster.protocol`):
   scheduler's retry machinery treats exactly like a crashed local
   worker — one attempt charged, exponential backoff, re-acquire (and
   the re-acquired point lands back in this queue for the next healthy
-  worker). A late upload from a worker presumed dead is not wasted:
-  the result is stored straight into the point cache, so the retry
-  becomes a cache hit.
+  worker).
+
+An upload nobody waits for any more — its lease expired or is
+unknown, or its future is already done — is not wasted: the result is
+stored straight into the point cache, so a retry becomes a cache hit.
 
 Lease state machine (DESIGN.md §10)::
 
@@ -31,74 +33,39 @@ Lease state machine (DESIGN.md §10)::
        |                  `--release (worker drain)--> requeued (free)
        `------------------------------------------------'
 
-Sharding and fairness (DESIGN.md §15): the pending queue and the lease
-table are split over ``REPRO_SCHED_SHARDS`` shards, each with its own
-lock. A point lives in the shard of its fingerprint prefix
-(``int(fp[:2], 16) % nshards``); a lease lives in the shard of its
-first point's fingerprint, encoded into the lease id
-(``lease-<shard>-<hex>``) so heartbeat/complete/fail route without a
-global lock. Each shard's pending queue is a
-:class:`repro.sched.policy.PolicyQueue`, so with ``wfq`` the fleet's
-point dispatch is weighted-fair across tenants. Stats and metrics
-aggregate across shards.
+The pending queue is one :class:`repro.sched.policy.PolicyQueue`, so
+with ``wfq`` the fleet's point dispatch is weighted-fair across tenants
+(DESIGN.md §15). The lease table holds live leases only: a lease leaves
+it when it completes, fails or expires.
 
-Speculative execution (DESIGN.md §15): every simulation is
-bit-identical regardless of worker, so duplicating a leased point is
-always safe. Once :class:`repro.sched.speculate.DurationTracker` has a
-baseline, the monitor re-enqueues a duplicate of any leased point
-older than the percentile-based delay (at most one duplicate per
-point); whichever upload lands first resolves the future
-(*first-upload-wins*) and the loser is counted as wasted work. Live
-copies are reference-counted per fingerprint, so a lease expiry only
-fails the future when no duplicate remains in flight.
-
-Locking: shard locks never nest with each other, the worker-table
-lock, or the scheduler lock. Futures are **never** resolved while
-holding any coordinator lock — ``set_result`` runs done callbacks
-inline, and the scheduler's callback takes the scheduler lock, so
-resolving under a coordinator lock would deadlock against a job thread
-that holds the scheduler lock while enqueuing (:meth:`submit` is
-called from ``_acquire_point``).
+Locking: one coordinator lock guards the queue, the lease table and
+the worker table. It never nests with the scheduler lock, and futures
+are **never** resolved while holding it — ``set_result`` runs done
+callbacks inline, and the scheduler's callback takes the scheduler
+lock, so resolving under the coordinator lock would deadlock against a
+job thread that holds the scheduler lock while enqueuing
+(:meth:`submit` is called from ``_acquire_point``).
 """
 
 from __future__ import annotations
 
 import itertools
-import os
 import threading
 import time
 import uuid
 from concurrent.futures import Future, InvalidStateError
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.cluster import protocol
 from repro.engine import pointcache
-from repro.errors import ConfigError
 from repro.obs import events as obs_events
 from repro.obs.metrics import MetricsRegistry
-from repro.sched.policy import PolicyQueue, make_policy
-from repro.sched.speculate import DurationTracker, SpeculationConfig
+from repro.sched.policy import make_policy
 from repro.sched.tenants import DEFAULT_TENANT, TenantTable, guarded_labels
 
 #: worker states surfaced by ``GET /workers``.
 WORKER_STATES = ("idle", "working", "lost", "draining")
-
-DEFAULT_SHARDS = 4
-
-
-def shard_count() -> int:
-    """Lease/pending shard count from ``REPRO_SCHED_SHARDS`` (default 4)."""
-    raw = os.environ.get("REPRO_SCHED_SHARDS", "").strip()
-    if not raw:
-        return DEFAULT_SHARDS
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigError(f"REPRO_SCHED_SHARDS must be an integer, got {raw!r}")
-    if value < 1:
-        raise ConfigError("REPRO_SCHED_SHARDS must be >= 1")
-    return value
 
 
 class LeaseExpired(RuntimeError):
@@ -113,20 +80,26 @@ class WorkerLeaseError(RuntimeError):
     """A worker aborted a whole lease (e.g. its local pool collapsed)."""
 
 
+def _settle(set_outcome: Callable[[Any], None], value: Any) -> bool:
+    """Resolve a future (caller holds no coordinator lock); False when
+    it was already done — cancelled, or resolved by someone else."""
+    try:
+        set_outcome(value)
+    except InvalidStateError:
+        return False
+    return True
+
+
 @dataclass
 class PendingPoint:
-    """One live copy of an enqueued simulation: the spec plus the future
-    the scheduler is waiting on. Speculation may create a second copy
-    sharing the same future."""
+    """An enqueued simulation: the spec plus the future the scheduler
+    is waiting on."""
 
     fingerprint: str
     spec: Any
-    run_dir: Optional[str]
     future: Future
-    enqueued_unix: float
     tenant: str = DEFAULT_TENANT
     claimed: bool = False  # set_running_or_notify_cancel already called
-    speculative: bool = False  # a straggler duplicate, not the original
     #: global submission order; granted batches are sorted by it so a
     #: lease's points run in arrival order (batch *membership* is the
     #: policy's call, order within one worker's batch is not).
@@ -140,9 +113,7 @@ class Lease:
     lease_id: str
     worker_id: str
     entries: Dict[str, PendingPoint]  # fingerprint -> point
-    granted_unix: float
     deadline_unix: float
-    state: str = "active"  # active | done | failed | expired
 
 
 @dataclass
@@ -188,61 +159,31 @@ class WorkerInfo:
         }
 
 
-class _Shard:
-    """One slice of the pending queue + lease table, with its own lock.
-
-    ``refs`` counts live copies per fingerprint (queued or leased);
-    ``speculated`` remembers fingerprints that already have a duplicate
-    so a straggler is speculated at most once.
-    """
-
-    def __init__(self, index: int, queue: PolicyQueue) -> None:
-        self.index = index
-        self.lock = threading.Lock()
-        self.queue = queue
-        self.leases: Dict[str, Lease] = {}
-        self.refs: Dict[str, int] = {}
-        self.speculated: Set[str] = set()
-
-
 class ClusterCoordinator:
-    """Sharded lease table + pending queues behind the cluster backend."""
+    """One policy queue + one lease table behind the cluster backend."""
 
     def __init__(
         self,
         registry: Optional[MetricsRegistry] = None,
         lease_ttl: Optional[float] = None,
-        heartbeat: Optional[float] = None,
         batch: Optional[int] = None,
-        shards: Optional[int] = None,
         policy: Optional[str] = None,
         tenants: Optional[TenantTable] = None,
-        speculation: Optional[SpeculationConfig] = None,
     ) -> None:
         self.registry = registry if registry is not None else MetricsRegistry()
         self.lease_ttl = (
             lease_ttl if lease_ttl is not None else protocol.lease_ttl_s()
         )
-        # Named heartbeat_s (not heartbeat) so the config value cannot
-        # shadow the heartbeat() protocol handler below.
-        self.heartbeat_s = (
-            heartbeat if heartbeat is not None else protocol.heartbeat_s()
-        )
+        # A third of the TTL gives a worker two extra chances before its
+        # lease expires. Named heartbeat_s so it cannot shadow the
+        # heartbeat() protocol handler below.
+        self.heartbeat_s = self.lease_ttl / 3.0
         self.batch = batch if batch is not None else protocol.batch_size()
-        self.poll = protocol.poll_s()
         self.tenants = tenants if tenants is not None else TenantTable.from_env()
-        self.nshards = shards if shards is not None else shard_count()
-        self._shards = [
-            _Shard(i, make_policy(policy, self.tenants))
-            for i in range(self.nshards)
-        ]
-        self.policy = self._shards[0].queue.name
-        self.speculation = (
-            speculation if speculation is not None else SpeculationConfig.from_env()
-        )
-        self._durations = DurationTracker()
-        self._dur_lock = threading.Lock()
-        self._wlock = threading.Lock()
+        self._queue = make_policy(policy, self.tenants)
+        self.policy = self._queue.name
+        self._lock = threading.Lock()
+        self._leases: Dict[str, Lease] = {}
         self._workers: Dict[str, WorkerInfo] = {}
         self._seq = itertools.count()
         self._draining = False
@@ -277,27 +218,10 @@ class ClusterCoordinator:
         )
         self.m_late_results = r.counter(
             "cluster_late_results_total",
-            "uploads that arrived after their lease expired (cached anyway)",
-        )
-        self.m_speculative = r.counter(
-            "cluster_speculative_leases_total",
-            "straggler points re-enqueued as speculative duplicates",
-        )
-        self.m_spec_wins = r.counter(
-            "cluster_speculative_wins_total",
-            "futures resolved by a speculative duplicate's upload",
-        )
-        self.m_spec_wasted = r.counter(
-            "cluster_speculative_wasted_total",
-            "duplicate uploads discarded because another copy already won",
+            "uploads nobody waited for any more (cached anyway)",
         )
         self._g_pending = r.gauge(
             "cluster_pending_points", "points waiting for a lease"
-        )
-        self._g_shard_pending = r.gauge(
-            "cluster_shard_pending_points",
-            "points waiting for a lease, by shard",
-            labels=("shard",),
         )
         self._g_tenant_pending = r.gauge(
             "cluster_tenant_pending_points",
@@ -313,22 +237,10 @@ class ClusterCoordinator:
         r.register_collector(self._collect)
 
     def _collect(self, _registry: MetricsRegistry) -> None:
-        pending = 0
-        active = 0
-        by_tenant: Dict[str, int] = {}
-        for shard in self._shards:
-            with shard.lock:
-                shard_pending = len(shard.queue)
-                for tenant, count in shard.queue.tenants_queued().items():
-                    by_tenant[tenant] = by_tenant.get(tenant, 0) + count
-                active += sum(
-                    1 for l in shard.leases.values() if l.state == "active"
-                )
-            pending += shard_pending
-            self._g_shard_pending.labels(shard=str(shard.index)).set(
-                shard_pending
-            )
-        with self._wlock:
+        with self._lock:
+            pending = len(self._queue)
+            by_tenant = self._queue.tenants_queued()
+            active = len(self._leases)
             states = {state: 0 for state in WORKER_STATES}
             for worker in self._workers.values():
                 states[worker.state()] += 1
@@ -339,54 +251,11 @@ class ClusterCoordinator:
         for state, count in states.items():
             self._g_workers.labels(state=state).set(count)
 
-    # -- sharding helpers -----------------------------------------------
-
-    def _shard_of(self, fingerprint: str) -> _Shard:
-        """Fingerprint-prefix shard (fingerprints are sha256 hexdigests)."""
-        try:
-            index = int(fingerprint[:2], 16) % self.nshards
-        except (TypeError, ValueError):
-            index = 0
-        return self._shards[index]
-
-    def _lease_shard(self, lease_id: str) -> Optional[_Shard]:
-        """The shard encoded in ``lease-<shard>-<hex>`` (None = unroutable)."""
-        parts = lease_id.split("-")
-        if len(parts) == 3 and parts[0] == "lease":
-            try:
-                index = int(parts[1])
-            except ValueError:
-                return None
-            if 0 <= index < self.nshards:
-                return self._shards[index]
-        return None
-
-    def _add_copy(self, fingerprint: str) -> None:
-        """Count a new live copy (caller holds the fp-shard lock)."""
-        shard = self._shard_of(fingerprint)
-        shard.refs[fingerprint] = shard.refs.get(fingerprint, 0) + 1
-
-    def _retire_copy(self, fingerprint: str) -> int:
-        """Retire one live copy; returns how many copies remain.
-
-        Takes the fingerprint's shard lock itself — callers must not
-        hold it (shard locks never nest).
-        """
-        shard = self._shard_of(fingerprint)
-        with shard.lock:
-            remaining = shard.refs.get(fingerprint, 1) - 1
-            if remaining <= 0:
-                shard.refs.pop(fingerprint, None)
-                shard.speculated.discard(fingerprint)
-                return 0
-            shard.refs[fingerprint] = remaining
-            return remaining
-
     # -- lifecycle ------------------------------------------------------
 
     def start(self) -> None:
-        """Start the lease-expiry/speculation monitor thread (idempotent)."""
-        with self._wlock:
+        """Start the lease-expiry monitor thread (idempotent)."""
+        with self._lock:
             if self._monitor is not None:
                 return
             self._monitor = threading.Thread(
@@ -412,7 +281,6 @@ class ClusterCoordinator:
         tick = max(0.05, min(0.5, self.lease_ttl / 5.0))
         while not self._stop.wait(tick):
             self.expire_stale()
-            self.speculate_stragglers()
 
     # -- scheduler side (the execution backend seam) --------------------
 
@@ -422,31 +290,24 @@ class ClusterCoordinator:
         """Enqueue one point; the future resolves when a worker delivers.
 
         Called by the scheduler with *its* lock held — this method only
-        touches one shard and never resolves a future.
+        enqueues and never resolves a future. ``run_dir`` mirrors the
+        local executor's call; workers write no run artifacts.
         """
         future: Future = Future()
-        fingerprint = pointcache.fingerprint(spec)
         entry = PendingPoint(
-            fingerprint=fingerprint,
+            fingerprint=pointcache.fingerprint(spec),
             spec=spec,
-            run_dir=run_dir,
             future=future,
-            enqueued_unix=time.time(),
             tenant=tenant,
-            seq=next(self._seq),
         )
-        shard = self._shard_of(fingerprint)
-        with shard.lock:
-            shard.queue.push(entry, tenant=tenant, cost=1.0)
-            shard.refs[fingerprint] = shard.refs.get(fingerprint, 0) + 1
+        with self._lock:
+            entry.seq = next(self._seq)
+            self._queue.push(entry, tenant=tenant, cost=1.0)
         return future
 
     def pending_count(self) -> int:
-        total = 0
-        for shard in self._shards:
-            with shard.lock:
-                total += len(shard.queue)
-        return total
+        with self._lock:
+            return len(self._queue)
 
     # -- worker-facing protocol handlers --------------------------------
 
@@ -479,7 +340,7 @@ class ClusterCoordinator:
             registered_unix=now,
             last_seen_unix=now,
         )
-        with self._wlock:
+        with self._lock:
             self._workers[worker.worker_id] = worker
         self.m_registered.inc()
         self._log.info(
@@ -496,11 +357,11 @@ class ClusterCoordinator:
             "lease_ttl_s": self.lease_ttl,
             "heartbeat_s": self.heartbeat_s,
             "batch": self.batch,
-            "poll_s": self.poll,
+            "poll_s": protocol.POLL_S,
         }
 
     def _touch(self, worker_id: str) -> WorkerInfo:
-        """Look up a worker and refresh its liveness (worker lock held)."""
+        """Look up a worker and refresh its liveness (lock held)."""
         worker = self._workers.get(worker_id)
         if worker is None:
             raise protocol.UnknownWorker(worker_id)
@@ -508,18 +369,19 @@ class ClusterCoordinator:
         worker.lost = False
         return worker
 
-    def lease(self, payload: Any) -> Dict[str, Any]:
-        """Handle ``POST /cluster/lease``: grant up to a batch of points.
+    def _take_lease(self, lease_id: str, worker_id: str) -> Optional[Lease]:
+        """Remove ``lease_id`` from the table if ``worker_id`` holds it
+        (lock held); None when it expired, ended or is unknown."""
+        lease = self._leases.get(lease_id)
+        if lease is None or lease.worker_id != worker_id:
+            return None
+        del self._leases[lease_id]
+        self._workers[worker_id].lease_ids.discard(lease_id)
+        return lease
 
-        Each grant slot picks the globally next point in policy order
-        by comparing every shard queue's :meth:`peek_key` — sharding is
-        a concurrency detail and must not change *which* points are
-        granted relative to an unsharded queue. Between peek and pop a
-        racing grant may steal the head, which is benign: whatever the
-        pop actually yields is still a valid next candidate. A grant
-        may pull from several shards; the lease itself lives in the
-        shard of its first point's fingerprint.
-        """
+    def lease(self, payload: Any) -> Dict[str, Any]:
+        """Handle ``POST /cluster/lease``: grant up to a batch of points
+        in policy order."""
         body = protocol.check_version(payload)
         worker_id = protocol.worker_id_of(body)
         capacity = body.get("capacity", 1)
@@ -527,77 +389,47 @@ class ClusterCoordinator:
             isinstance(capacity, int) and capacity >= 1,
             "'capacity' must be an integer >= 1",
         )
-        with self._wlock:
-            worker = self._touch(worker_id)
         want = min(self.batch, capacity)
         granted: List[PendingPoint] = []
-        while len(granted) < want:
-            best_shard = None
-            best_key = None
-            for shard in self._shards:
-                with shard.lock:
-                    key = shard.queue.peek_key()
-                if key is not None and (best_key is None or key < best_key):
-                    best_key = key
-                    best_shard = shard
-            if best_shard is None:
-                break
-            with best_shard.lock:
-                entry = best_shard.queue.pop()
+        lease: Optional[Lease] = None
+        with self._lock:
+            worker = self._touch(worker_id)
+            while len(granted) < want:
+                entry = self._queue.pop()
                 if entry is None:
-                    continue
+                    break
                 if entry.future.done():
-                    # Cancelled or already resolved (e.g. the other
-                    # copy won) while queued: retire this copy.
-                    remaining = best_shard.refs.get(entry.fingerprint, 1) - 1
-                    if remaining <= 0:
-                        best_shard.refs.pop(entry.fingerprint, None)
-                        best_shard.speculated.discard(entry.fingerprint)
-                    else:
-                        best_shard.refs[entry.fingerprint] = remaining
-                    continue
+                    continue  # cancelled by the scheduler while queued
                 if not entry.claimed:
                     if not entry.future.set_running_or_notify_cancel():
-                        # cancelled by the scheduler's timeout
-                        remaining = best_shard.refs.get(entry.fingerprint, 1) - 1
-                        if remaining <= 0:
-                            best_shard.refs.pop(entry.fingerprint, None)
-                            best_shard.speculated.discard(entry.fingerprint)
-                        else:
-                            best_shard.refs[entry.fingerprint] = remaining
-                        continue
+                        continue  # cancelled after the done() check
                     entry.claimed = True
                 granted.append(entry)
-        granted.sort(key=lambda e: e.seq)
-        if not granted:
+            if granted:
+                granted.sort(key=lambda e: e.seq)
+                lease = Lease(
+                    lease_id=f"lease-{uuid.uuid4().hex[:10]}",
+                    worker_id=worker_id,
+                    entries={e.fingerprint: e for e in granted},
+                    deadline_unix=time.time() + self.lease_ttl,
+                )
+                self._leases[lease.lease_id] = lease
+                worker.lease_ids.add(lease.lease_id)
+                worker.leases_granted += 1
+        if lease is None:
             return {
                 "protocol": protocol.PROTOCOL_VERSION,
                 "lease_id": None,
                 "points": [],
                 "draining": self._draining,
-                "poll_s": self.poll,
+                "poll_s": protocol.POLL_S,
             }
-        now = time.time()
-        home = self._shard_of(granted[0].fingerprint)
-        lease = Lease(
-            lease_id=f"lease-{home.index}-{uuid.uuid4().hex[:10]}",
-            worker_id=worker_id,
-            entries={e.fingerprint: e for e in granted},
-            granted_unix=now,
-            deadline_unix=now + self.lease_ttl,
-        )
-        with home.lock:
-            home.leases[lease.lease_id] = lease
-        with self._wlock:
-            worker.lease_ids.add(lease.lease_id)
-            worker.leases_granted += 1
         self.m_leases_granted.inc()
         self._log.info(
             "cluster.lease.grant",
             lease=lease.lease_id,
             worker=worker_id,
             points=len(granted),
-            speculative=sum(1 for e in granted if e.speculative),
             ttl_s=self.lease_ttl,
         )
         return {
@@ -612,7 +444,6 @@ class ClusterCoordinator:
                     "fingerprint": e.fingerprint,
                     "label": e.spec.label,
                     "tenant": e.tenant,
-                    "speculative": e.speculative,
                     "spec": protocol.encode_payload(e.spec),
                 }
                 for e in granted
@@ -624,26 +455,17 @@ class ClusterCoordinator:
         body = protocol.check_version(payload)
         worker_id = protocol.worker_id_of(body)
         lease_ids = protocol.string_list(body, "lease_ids")
-        with self._wlock:
-            self._touch(worker_id)
         renewed: List[str] = []
         gone: List[str] = []
-        now = time.time()
-        for lease_id in lease_ids:
-            shard = self._lease_shard(lease_id)
-            if shard is None:
-                gone.append(lease_id)
-                continue
-            with shard.lock:
-                lease = shard.leases.get(lease_id)
-                if (
-                    lease is None
-                    or lease.worker_id != worker_id
-                    or lease.state != "active"
-                ):
+        with self._lock:
+            self._touch(worker_id)
+            deadline = time.time() + self.lease_ttl
+            for lease_id in lease_ids:
+                lease = self._leases.get(lease_id)
+                if lease is None or lease.worker_id != worker_id:
                     gone.append(lease_id)
                     continue
-                lease.deadline_unix = now + self.lease_ttl
+                lease.deadline_unix = deadline
                 renewed.append(lease_id)
         return {
             "protocol": protocol.PROTOCOL_VERSION,
@@ -655,13 +477,9 @@ class ClusterCoordinator:
     def complete(self, payload: Any) -> Dict[str, Any]:
         """Handle ``POST /cluster/complete``: results / failures / releases.
 
-        First-upload-wins: a result whose future another copy already
-        resolved is counted as a speculative duplicate (``duplicates``
-        in the reply, ``cluster_speculative_wasted_total``), not an
-        error — the worker did real, bit-identical work that simply
-        lost the race. A failure whose fingerprint still has another
-        live copy in flight does *not* fail the future: the surviving
-        duplicate may yet deliver.
+        A result whose future is already done, or whose lease is gone,
+        takes the late-upload path: it is stored in the point cache
+        and never raises.
         """
         body = protocol.check_version(payload)
         worker_id = protocol.worker_id_of(body)
@@ -677,165 +495,71 @@ class ClusterCoordinator:
             isinstance(results, list) and isinstance(failures, list),
             "'results' and 'failures' must be lists",
         )
-        with self._wlock:
+        uploads: List[Tuple[str, Any]] = []
+        for item in results:
+            protocol.require(
+                isinstance(item, dict)
+                and isinstance(item.get("fingerprint"), str)
+                and isinstance(item.get("payload"), str),
+                "each result needs string 'fingerprint' and 'payload'",
+            )
+            result = protocol.decode_payload(item["payload"])
+            result.worker_id = worker_id
+            uploads.append((item["fingerprint"], result))
+        for item in failures:
+            protocol.require(
+                isinstance(item, dict)
+                and isinstance(item.get("fingerprint"), str)
+                and isinstance(item.get("error"), str),
+                "each failure needs string 'fingerprint' and 'error'",
+            )
+
+        requeued = 0
+        with self._lock:
             worker = self._touch(worker_id)
+            lease = self._take_lease(lease_id, worker_id)
+            entries = lease.entries if lease is not None else {}
+            for fp in released:
+                entry = entries.get(fp)
+                if entry is not None and not entry.future.done():
+                    # Returned unstarted by a draining worker: requeued
+                    # in policy order, no attempt charged, same future.
+                    self._queue.push(entry, tenant=entry.tenant, cost=1.0)
+                    requeued += 1
+            worker.points_done += len(uploads)
+            worker.points_failed += len(failures)
 
-        to_resolve: List[Tuple[PendingPoint, Any]] = []
-        to_fail: List[Tuple[PendingPoint, str]] = []
-        late_results: List[Tuple[str, Any]] = []
-        requeue: List[PendingPoint] = []
-        retired: List[PendingPoint] = []
-        duplicates = 0
-        spec_wins = 0
-        survivors = 0
-        points_done = 0
-        points_failed = 0
-        now = time.time()
-        durations: List[float] = []
-
-        shard = self._lease_shard(lease_id)
-        lease: Optional[Lease] = None
-        if shard is not None:
-            with shard.lock:
-                lease = shard.leases.get(lease_id)
-                lease_live = (
-                    lease is not None
-                    and lease.worker_id == worker_id
-                    and lease.state == "active"
-                )
-                entries = lease.entries if lease_live else {}
-                for item in results:
-                    protocol.require(
-                        isinstance(item, dict)
-                        and isinstance(item.get("fingerprint"), str)
-                        and isinstance(item.get("payload"), str),
-                        "each result needs string 'fingerprint' and 'payload'",
-                    )
-                    result = protocol.decode_payload(item["payload"])
-                    result.worker_id = worker_id
-                    fp = item["fingerprint"]
-                    entry = entries.get(fp)
-                    if entry is not None and not entry.future.done():
-                        to_resolve.append((entry, result))
-                        retired.append(entry)
-                        durations.append(now - lease.granted_unix)
-                        if entry.speculative:
-                            spec_wins += 1
-                    elif entry is not None:
-                        # The other copy already won the race.
-                        duplicates += 1
-                        retired.append(entry)
-                    else:
-                        # Lease expired or unknown: the scheduler has
-                        # moved on, but the simulation is real — cache
-                        # it so the retry becomes a cache hit.
-                        late_results.append((fp, result))
-                    points_done += 1
-                for item in failures:
-                    protocol.require(
-                        isinstance(item, dict)
-                        and isinstance(item.get("fingerprint"), str)
-                        and isinstance(item.get("error"), str),
-                        "each failure needs string 'fingerprint' and 'error'",
-                    )
-                    entry = entries.get(item["fingerprint"])
-                    points_failed += 1
-                    if entry is not None:
-                        retired.append(entry)
-                        if not entry.future.done():
-                            to_fail.append((entry, item["error"]))
-                for fp in released:
-                    entry = entries.get(fp)
-                    if entry is not None and not entry.future.done():
-                        requeue.append(entry)
-                if lease_live:
-                    lease.state = "failed" if to_fail else "done"
-                    lease.entries = {}
-        else:
-            lease_live = False
-            for item in results:
-                protocol.require(
-                    isinstance(item, dict)
-                    and isinstance(item.get("fingerprint"), str)
-                    and isinstance(item.get("payload"), str),
-                    "each result needs string 'fingerprint' and 'payload'",
-                )
-                result = protocol.decode_payload(item["payload"])
-                result.worker_id = worker_id
-                late_results.append((item["fingerprint"], result))
-                points_done += 1
-            points_failed += len(failures)
-
-        # Retire the consumed copies (takes per-fingerprint shard
-        # locks — the lease-shard lock is released above). A failure
-        # whose fingerprint still has a live copy is downgraded to a
-        # survivor: the duplicate in flight may still deliver.
-        still_alive: Set[str] = set()
-        for entry in retired:
-            if self._retire_copy(entry.fingerprint) > 0:
-                still_alive.add(entry.fingerprint)
-        kept_fail: List[Tuple[PendingPoint, str]] = []
-        for entry, error in to_fail:
-            if entry.fingerprint in still_alive:
-                survivors += 1
-            else:
-                kept_fail.append((entry, error))
-        to_fail = kept_fail
-        for entry in requeue:
-            # Returned unstarted by a draining worker: requeued in
-            # policy order, no attempt charged, same future, same copy
-            # (refs unchanged).
-            entry_shard = self._shard_of(entry.fingerprint)
-            with entry_shard.lock:
-                entry_shard.queue.push(entry, tenant=entry.tenant, cost=1.0)
-
-        with self._wlock:
-            worker.points_done += points_done
-            worker.points_failed += points_failed
-            if lease_live:
-                worker.lease_ids.discard(lease_id)
-        if durations:
-            with self._dur_lock:
-                for seconds in durations:
-                    self._durations.record(seconds)
-
-        # Outside the locks: resolve futures (runs scheduler callbacks).
+        # Outside the lock: resolve futures (runs scheduler callbacks).
         resolved = 0
-        for entry, result in to_resolve:
-            try:
-                entry.future.set_result(result)
+        late: List[Tuple[str, Any]] = []
+        for fp, result in uploads:
+            entry = entries.get(fp)
+            if entry is not None and _settle(entry.future.set_result, result):
                 resolved += 1
-            except InvalidStateError:
-                # Concurrent first-upload-wins race with another lease's
-                # complete(): the other copy landed first.
-                duplicates += 1
-                if entry.speculative:
-                    spec_wins -= 1
-        for entry, error in to_fail:
-            try:
-                entry.future.set_exception(
-                    WorkerPointError(f"{error} (worker {worker_id})")
-                )
-            except InvalidStateError:
-                pass
-        if late_results and pointcache.cache_enabled():
-            for fp, result in late_results:
+            else:
+                late.append((fp, result))
+        failed = 0
+        for item in failures:
+            entry = entries.get(item["fingerprint"])
+            if entry is not None and _settle(
+                entry.future.set_exception,
+                WorkerPointError(f"{item['error']} (worker {worker_id})"),
+            ):
+                failed += 1
+        if late and pointcache.cache_enabled():
+            for fp, result in late:
                 try:
                     pointcache.store(fp, result)
                 except Exception:
                     pass  # a failed store is only a lost cache entry
-        if late_results:
-            self.m_late_results.inc(len(late_results))
+        if late:
+            self.m_late_results.inc(len(late))
         if resolved:
             self.m_points_remote.inc(resolved)
-        if to_fail:
-            self.m_point_failures.inc(len(to_fail))
-        if requeue:
-            self.m_points_released.inc(len(requeue))
-        if duplicates:
-            self.m_spec_wasted.inc(duplicates)
-        if spec_wins > 0:
-            self.m_spec_wins.inc(spec_wins)
+        if failed:
+            self.m_point_failures.inc(failed)
+        if requeued:
+            self.m_points_released.inc(requeued)
         self._log.info(
             "cluster.lease.complete",
             lease=lease_id,
@@ -843,16 +567,14 @@ class ClusterCoordinator:
             results=len(results),
             failures=len(failures),
             released=len(released),
-            late=len(late_results),
-            duplicates=duplicates,
-            accepted=lease_live,
+            late=len(late),
+            accepted=lease is not None,
         )
         return {
             "protocol": protocol.PROTOCOL_VERSION,
-            "accepted": lease_live,
+            "accepted": lease is not None,
             "resolved": resolved,
-            "late": len(late_results),
-            "duplicates": duplicates,
+            "late": len(late),
         }
 
     def fail(self, payload: Any) -> Dict[str, Any]:
@@ -865,88 +587,52 @@ class ClusterCoordinator:
             isinstance(lease_id, str) and bool(lease_id),
             "'lease_id' must be a non-empty string",
         )
-        with self._wlock:
+        with self._lock:
             worker = self._touch(worker_id)
-        candidates: List[PendingPoint] = []
-        shard = self._lease_shard(lease_id)
-        if shard is not None:
-            with shard.lock:
-                lease = shard.leases.get(lease_id)
-                if (
-                    lease is not None
-                    and lease.worker_id == worker_id
-                    and lease.state == "active"
-                ):
-                    candidates = list(lease.entries.values())
-                    lease.state = "failed"
-                    lease.entries = {}
-        to_fail: List[PendingPoint] = []
-        for entry in candidates:
-            remaining = self._retire_copy(entry.fingerprint)
-            if not entry.future.done() and remaining == 0:
-                to_fail.append(entry)
-        with self._wlock:
-            if candidates:
-                worker.lease_ids.discard(lease_id)
-                worker.points_failed += len(to_fail)
-        for entry in to_fail:
-            try:
-                entry.future.set_exception(
-                    WorkerLeaseError(f"{error} (worker {worker_id})")
-                )
-            except InvalidStateError:
-                pass
-        if to_fail:
-            self.m_point_failures.inc(len(to_fail))
+            lease = self._take_lease(lease_id, worker_id)
+            entries = list(lease.entries.values()) if lease is not None else []
+        failed = sum(
+            _settle(
+                entry.future.set_exception,
+                WorkerLeaseError(f"{error} (worker {worker_id})"),
+            )
+            for entry in entries
+        )
+        if failed:
+            with self._lock:
+                worker.points_failed += failed
+            self.m_point_failures.inc(failed)
         self._log.warning(
             "cluster.lease.fail",
             lease=lease_id,
             worker=worker_id,
-            points=len(to_fail),
+            points=failed,
             error=str(error),
         )
-        return {"protocol": protocol.PROTOCOL_VERSION, "failed": len(to_fail)}
+        return {"protocol": protocol.PROTOCOL_VERSION, "failed": failed}
 
-    # -- expiry + speculation -------------------------------------------
+    # -- expiry ---------------------------------------------------------
 
     def expire_stale(self, now: Optional[float] = None) -> int:
         """Expire leases past their deadline; returns how many expired.
 
-        Each unresolved point *without a live duplicate* fails with
-        :class:`LeaseExpired`, which the scheduler's per-point retry
-        loop converts into a charged attempt + re-enqueue. A point
-        whose speculative duplicate is still in flight survives the
-        expiry untouched — the duplicate is the retry.
+        Each unresolved point fails with :class:`LeaseExpired`, which
+        the scheduler's per-point retry loop converts into a charged
+        attempt + re-enqueue.
         """
         now = time.time() if now is None else now
-        expired: List[Lease] = []
-        candidates: List[PendingPoint] = []
-        lost_workers: Dict[str, str] = {}
-        for shard in self._shards:
-            with shard.lock:
-                for lease in shard.leases.values():
-                    if lease.state != "active" or lease.deadline_unix > now:
-                        continue
-                    lease.state = "expired"
-                    expired.append(lease)
-                    candidates.extend(lease.entries.values())
-                    lease.entries = {}
-                    lost_workers[lease.worker_id] = lease.lease_id
-        if lost_workers:
-            with self._wlock:
-                for worker_id, _lease_id in lost_workers.items():
-                    worker = self._workers.get(worker_id)
-                    if worker is not None:
-                        worker.lost = True
-                for lease in expired:
-                    worker = self._workers.get(lease.worker_id)
-                    if worker is not None:
-                        worker.lease_ids.discard(lease.lease_id)
-        to_fail: List[PendingPoint] = []
-        for entry in candidates:
-            remaining = self._retire_copy(entry.fingerprint)
-            if not entry.future.done() and remaining == 0:
-                to_fail.append(entry)
+        with self._lock:
+            expired = [
+                lease
+                for lease in self._leases.values()
+                if lease.deadline_unix <= now
+            ]
+            for lease in expired:
+                del self._leases[lease.lease_id]
+                worker = self._workers.get(lease.worker_id)
+                if worker is not None:
+                    worker.lost = True
+                    worker.lease_ids.discard(lease.lease_id)
         for lease in expired:
             self.m_lease_expired.inc()
             self._log.warning(
@@ -955,139 +641,32 @@ class ClusterCoordinator:
                 worker=lease.worker_id,
                 overdue_s=round(now - lease.deadline_unix, 3),
             )
-        for entry in to_fail:
-            try:
-                entry.future.set_exception(
+            for entry in lease.entries.values():
+                _settle(
+                    entry.future.set_exception,
                     LeaseExpired(
                         f"lease deadline missed for point "
                         f"{entry.spec.label!r}; worker presumed dead"
-                    )
+                    ),
                 )
-            except InvalidStateError:
-                pass
         return len(expired)
 
-    def speculate_stragglers(self, now: Optional[float] = None) -> int:
-        """Re-enqueue duplicates of straggling leased points.
-
-        A leased point older than the percentile-based delay (see
-        :mod:`repro.sched.speculate`) gets one duplicate pushed back
-        into its pending shard, pre-claimed and sharing the same
-        future, so the next idle worker races the straggler. Returns
-        how many duplicates were enqueued.
-        """
-        with self._dur_lock:
-            delay = self._durations.delay_s(self.speculation)
-        if delay is None:
-            return 0
-        now = time.time() if now is None else now
-        candidates: List[PendingPoint] = []
-        for shard in self._shards:
-            with shard.lock:
-                for lease in shard.leases.values():
-                    if lease.state != "active":
-                        continue
-                    if now - lease.granted_unix <= delay:
-                        continue
-                    candidates.extend(
-                        e
-                        for e in lease.entries.values()
-                        if not e.speculative and not e.future.done()
-                    )
-        launched = 0
-        for entry in candidates:
-            shard = self._shard_of(entry.fingerprint)
-            with shard.lock:
-                if (
-                    entry.fingerprint in shard.speculated
-                    or entry.fingerprint not in shard.refs
-                    or entry.future.done()
-                ):
-                    continue
-                duplicate = PendingPoint(
-                    fingerprint=entry.fingerprint,
-                    spec=entry.spec,
-                    run_dir=entry.run_dir,
-                    future=entry.future,
-                    enqueued_unix=now,
-                    tenant=entry.tenant,
-                    claimed=True,  # the original already claimed it
-                    speculative=True,
-                    seq=next(self._seq),
-                )
-                shard.queue.push(
-                    duplicate, tenant=duplicate.tenant, cost=1.0
-                )
-                shard.refs[entry.fingerprint] += 1
-                shard.speculated.add(entry.fingerprint)
-            launched += 1
-            self._log.info(
-                "cluster.point.speculate",
-                label=entry.spec.label,
-                tenant=entry.tenant,
-                age_s=round(now - entry.enqueued_unix, 3),
-                delay_s=round(delay, 3),
-            )
-        if launched:
-            self.m_speculative.inc(launched)
-        return launched
-
     # -- introspection ---------------------------------------------------
-
-    @property
-    def _leases(self) -> Dict[str, Lease]:
-        """All leases merged across shards (tests / debugging only)."""
-        merged: Dict[str, Lease] = {}
-        for shard in self._shards:
-            with shard.lock:
-                merged.update(shard.leases)
-        return merged
 
     def workers_snapshot(self) -> List[Dict[str, Any]]:
         """Fleet listing for ``GET /workers`` (registration order)."""
         now = time.time()
-        with self._wlock:
+        with self._lock:
             workers = list(self._workers.values())
         return [w.snapshot(now) for w in workers]
 
     def stats(self) -> Dict[str, Any]:
-        pending = 0
-        active = 0
-        shards: List[Dict[str, Any]] = []
-        tenants: Dict[str, int] = {}
-        for shard in self._shards:
-            with shard.lock:
-                shard_pending = len(shard.queue)
-                shard_active = sum(
-                    1 for l in shard.leases.values() if l.state == "active"
-                )
-                for tenant, count in shard.queue.tenants_queued().items():
-                    tenants[tenant] = tenants.get(tenant, 0) + count
-            pending += shard_pending
-            active += shard_active
-            shards.append(
-                {
-                    "shard": shard.index,
-                    "pending_points": shard_pending,
-                    "active_leases": shard_active,
-                }
-            )
-        with self._wlock:
-            workers = len(self._workers)
-        with self._dur_lock:
-            samples = len(self._durations)
-            delay = self._durations.delay_s(self.speculation)
-        return {
-            "pending_points": pending,
-            "active_leases": active,
-            "workers": workers,
-            "draining": self._draining,
-            "policy": self.policy,
-            "shards": shards,
-            "pending_by_tenant": tenants,
-            "speculation": {
-                "enabled": self.speculation.enabled,
-                "samples": samples,
-                "delay_s": delay,
-            },
-        }
+        with self._lock:
+            return {
+                "pending_points": len(self._queue),
+                "active_leases": len(self._leases),
+                "workers": len(self._workers),
+                "draining": self._draining,
+                "policy": self.policy,
+                "pending_by_tenant": self._queue.tenants_queued(),
+            }

@@ -1,9 +1,9 @@
 """Versioned JSON wire schema for the cluster work-lease protocol.
 
 The coordinator (the ``repro.serve`` daemon running with
-``--backend cluster|hybrid``) and ``python -m repro.cluster.worker``
-agents speak five messages, all JSON over the daemon's existing HTTP
-server (DESIGN.md §10):
+``--backend cluster``) and ``python -m repro.cluster.worker`` agents
+speak five messages, all JSON over the daemon's existing HTTP server
+(DESIGN.md §10):
 
 ========  =======================  ===================================
 Method    Path                     Meaning
@@ -20,16 +20,13 @@ POST      /cluster/fail            abort a whole lease with one error
 
 Every body carries ``protocol: PROTOCOL_VERSION``; a version the
 coordinator does not speak is rejected up front rather than
-half-parsed. Adding reply fields is compatible within a version:
-leased points carry ``tenant`` and ``speculative`` (informational —
-workers simulate duplicates exactly like originals), and the
-``complete`` reply carries ``duplicates``, the number of uploads that
-lost a first-upload-wins race against another copy of the same point
-(DESIGN.md §15). Old workers simply ignore the extra fields. Registration also carries the worker's
-:func:`repro.engine.pointcache.code_salt`: results are only
-bit-identical to a local run when coordinator and worker run the exact
-same source tree, so a salt mismatch is a hard 409 — never a silently
-wrong figure.
+half-parsed. Adding or dropping informational reply fields is
+compatible within a version (leased points carry ``tenant``, for
+instance); workers ignore fields they do not read. Registration also
+carries the worker's :func:`repro.engine.pointcache.code_salt`: results
+are only bit-identical to a local run when coordinator and worker run
+the exact same source tree, so a salt mismatch is a hard 409 — never a
+silently wrong figure.
 
 Point specs and results travel as base64-encoded pickles
 (:func:`encode_payload` / :func:`decode_payload`) keyed by the point
@@ -39,18 +36,16 @@ fleet is one trust domain running one code version (enforced by the
 salt check) — the cluster protocol is an extension of the executor
 seam, not a public API.
 
-Fleet-tuning knobs (all read by the **coordinator**, which pushes the
+Fleet-tuning knobs (both read by the **coordinator**, which pushes the
 values to workers in the registration reply, so one place configures
 the fleet):
 
 * ``REPRO_CLUSTER_LEASE_TTL_S`` — lease deadline; a lease not
   heartbeat-renewed within this window expires and its points requeue
-  (default 15);
-* ``REPRO_CLUSTER_HEARTBEAT_S`` — worker heartbeat interval (default
-  ``ttl / 3``);
-* ``REPRO_CLUSTER_BATCH`` — max points per lease (default 4);
-* ``REPRO_CLUSTER_POLL_S`` — worker idle re-poll interval when the
-  queue is empty (default 0.5).
+  (default 15). Workers heartbeat every ``ttl / 3``;
+* ``REPRO_CLUSTER_BATCH`` — max points per lease (default 4).
+
+An idle worker re-polls an empty queue every :data:`POLL_S` seconds.
 """
 
 from __future__ import annotations
@@ -67,7 +62,8 @@ PROTOCOL_VERSION = 1
 
 DEFAULT_LEASE_TTL_S = 15.0
 DEFAULT_BATCH = 4
-DEFAULT_POLL_S = 0.5
+#: worker idle re-poll interval when the queue is empty, in seconds.
+POLL_S = 0.5
 
 #: environment flag a worker *process* sets so an injected
 #: ``worker_crash`` fault hard-kills the agent even when it simulates
@@ -88,31 +84,20 @@ class SaltMismatch(ConfigError):
     """Worker and coordinator run different source trees (HTTP 409)."""
 
 
-def _positive_float(env: str, default: float) -> float:
-    raw = os.environ.get(env, "").strip()
+def lease_ttl_s() -> float:
+    """Lease deadline from ``REPRO_CLUSTER_LEASE_TTL_S`` (default 15)."""
+    raw = os.environ.get("REPRO_CLUSTER_LEASE_TTL_S", "").strip()
     if not raw:
-        return default
+        return DEFAULT_LEASE_TTL_S
     try:
         value = float(raw)
     except ValueError:
-        raise ConfigError(f"{env} must be a number, got {raw!r}")
+        raise ConfigError(
+            f"REPRO_CLUSTER_LEASE_TTL_S must be a number, got {raw!r}"
+        )
     if value <= 0:
-        raise ConfigError(f"{env} must be > 0")
+        raise ConfigError("REPRO_CLUSTER_LEASE_TTL_S must be > 0")
     return value
-
-
-def lease_ttl_s() -> float:
-    """Lease deadline from ``REPRO_CLUSTER_LEASE_TTL_S`` (default 15)."""
-    return _positive_float("REPRO_CLUSTER_LEASE_TTL_S", DEFAULT_LEASE_TTL_S)
-
-
-def heartbeat_s() -> float:
-    """Heartbeat interval from ``REPRO_CLUSTER_HEARTBEAT_S``.
-
-    Defaults to a third of the lease TTL so a worker gets two extra
-    chances before its lease expires.
-    """
-    return _positive_float("REPRO_CLUSTER_HEARTBEAT_S", lease_ttl_s() / 3.0)
 
 
 def batch_size() -> int:
@@ -127,11 +112,6 @@ def batch_size() -> int:
     if value < 1:
         raise ConfigError("REPRO_CLUSTER_BATCH must be >= 1")
     return value
-
-
-def poll_s() -> float:
-    """Idle re-poll interval from ``REPRO_CLUSTER_POLL_S`` (default 0.5)."""
-    return _positive_float("REPRO_CLUSTER_POLL_S", DEFAULT_POLL_S)
 
 
 # -- payload transport ----------------------------------------------------

@@ -11,9 +11,10 @@ The agent registers (proving it runs the same source tree via
 simulate them with the exact engine entry point a local run uses
 (:func:`repro.engine.parallel.run_cached_spec`), upload the pickled
 results keyed by fingerprint, repeat. A heartbeat thread renews held
-leases every ``heartbeat_s`` (pushed by the coordinator at
-registration) so a healthy worker never loses a lease; a worker that
-dies simply stops heartbeating and the coordinator requeues its points.
+leases every ``heartbeat_s`` (a third of the lease TTL, pushed by the
+coordinator at registration) so a healthy worker never loses a lease; a
+worker that dies simply stops heartbeating and the coordinator requeues
+its points.
 
 Graceful drain mirrors the daemon's SIGTERM story: the first SIGTERM /
 SIGINT stops the agent at the next *point* boundary — points of the
@@ -87,8 +88,8 @@ class ClusterClient(ServeClient):
 
 
 class LocalTransport:
-    """In-process transport: the hybrid backend's embedded agent talks
-    to the coordinator by direct method call, same message shapes."""
+    """In-process transport: an agent talks to the coordinator by direct
+    method call, same message shapes (tests use it in place of HTTP)."""
 
     def __init__(self, coordinator) -> None:
         self.coordinator = coordinator
@@ -126,8 +127,8 @@ class WorkerAgent:
             raise protocol.ProtocolError("worker capacity must be >= 1")
         self.once = once
         self.name = name
-        # Injectable for tests and the hybrid embedded agent; None means
-        # the real engine (with a local pool when capacity > 1).
+        # Injectable for tests; None means the real engine (with a
+        # local pool when capacity > 1).
         self._simulate = simulate
         self._stop = threading.Event()
         self._draining = False
@@ -137,11 +138,10 @@ class WorkerAgent:
         self._heartbeat_thread: Optional[threading.Thread] = None
         self._log = obs_events.get_event_log()
         self.worker_id: Optional[str] = None
-        self.heartbeat_s = protocol.heartbeat_s()
-        self.poll_s = protocol.poll_s()
+        self.heartbeat_s = protocol.lease_ttl_s() / 3.0
+        self.poll_s = protocol.POLL_S
         self.points_done = 0
         self.points_failed = 0
-        self.points_duplicate = 0
         self.leases_done = 0
 
     # -- lifecycle ------------------------------------------------------
@@ -215,7 +215,6 @@ class WorkerAgent:
             leases=self.leases_done,
             points=self.points_done,
             failed=self.points_failed,
-            duplicates=self.points_duplicate,
             drained=self._draining,
         )
         return 0
@@ -316,7 +315,7 @@ class WorkerAgent:
             with self._lease_lock:
                 self._active_leases.discard(lease_id)
         try:
-            reply = self.transport.complete(
+            self.transport.complete(
                 protocol.complete_request(
                     self.worker_id, lease_id, results, failures, released
                 )
@@ -329,16 +328,6 @@ class WorkerAgent:
                 error=f"{type(exc).__name__}: {exc}",
             )
             return
-        # First-upload-wins: some of our uploads may have lost the race
-        # against a speculative duplicate on another worker. That is
-        # wasted work, not an error — count it so operators can see how
-        # much duplication speculation costs this worker.
-        duplicates = 0
-        if isinstance(reply, dict):
-            value = reply.get("duplicates", 0)
-            duplicates = value if isinstance(value, int) else 0
-        if duplicates:
-            self.points_duplicate += duplicates
         self._log.info(
             "cluster.lease.done",
             worker=self.worker_id,
@@ -346,7 +335,6 @@ class WorkerAgent:
             results=len(results),
             failures=len(failures),
             released=len(released),
-            duplicates=duplicates,
             wall_s=time.perf_counter() - t0,
         )
 

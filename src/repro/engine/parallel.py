@@ -40,9 +40,7 @@ the code hash, host info, wall/sim time, and cache-hit provenance.
 ``REPRO_EPOCH=N`` makes each freshly simulated point emit an epoch
 timeline JSONL next to the manifest. ``REPRO_LOG=text|json`` streams
 per-point start/finish/cached events with a live ETA (plus
-``point.retry`` / ``point.failed`` recovery events). ``REPRO_PROFILE=1``
-emits a cProfile top-20 per simulated point through the event log, the
-point label prefixed atomically (no interleaving under parallel runs).
+``point.retry`` / ``point.failed`` recovery events).
 """
 
 from __future__ import annotations
@@ -302,7 +300,6 @@ def run_spec(spec: PointSpec, run_dir: Optional[str] = None):
         measure_ddio_ways=spec.measure_ddio_ways,
     )
     obs = ObsContext.from_env()
-    profiling = os.environ.get("REPRO_PROFILE", "") == "1"
     log.debug("point.simulate", label=spec.label, pid=os.getpid())
     faults.on_point_start(spec.label)
     start = time.perf_counter()
@@ -323,25 +320,7 @@ def run_spec(spec: PointSpec, run_dir: Optional[str] = None):
         def on_warm(state, _fp=warm_fp, _engine=sim.engine):
             snapshot.store_state(_fp, _engine, state)
 
-    if profiling:
-        import cProfile
-        import io
-        import pstats
-
-        profiler = cProfile.Profile()
-        profiler.enable()
-        trace = sim.run(warm_state=warm_state, on_warm=on_warm)
-        profiler.disable()
-        buf = io.StringIO()
-        pstats.Stats(profiler, stream=buf).sort_stats("tottime").print_stats(20)
-        # One atomic event, label-prefixed, instead of a bare print that
-        # interleaved across REPRO_WORKERS>1 workers. force=True keeps
-        # the output visible for users who never set REPRO_LOG.
-        log.emit(
-            "profile", force=True, label=spec.label, text=buf.getvalue()
-        )
-    else:
-        trace = sim.run(warm_state=warm_state, on_warm=on_warm)
+    trace = sim.run(warm_state=warm_state, on_warm=on_warm)
     elapsed = time.perf_counter() - start
     if warm_state is not None:
         if sim.warm_restored:
@@ -397,18 +376,7 @@ def run_cached_spec(spec: PointSpec, run_dir: Optional[str] = None):
     fp = pointcache.fingerprint(spec)
     cached = pointcache.load(fp, require_attrs=pointcache.RESULT_ATTRS)
     if cached is not None:
-        cached.label = spec.label
-        cached.from_cache = True
-        # The cached pickle may reference a timeline or probe file from
-        # the run that produced it (those files belong to another run
-        # directory) and a cluster worker_id from the run that
-        # simulated it.
-        cached.timeline_file = None
-        cached.probe_file = None
-        cached.worker_id = None
-        # Provenance of *this* run: a cache hit didn't restore anything.
-        cached.warm_restored = False
-        return cached
+        return pointcache.mark_cache_hit(cached, spec.label)
     result = run_spec(spec, run_dir=run_dir)
     pointcache.store(fp, result)
     return result

@@ -202,6 +202,23 @@ def load(fp: str, require_attrs: Optional[Tuple[str, ...]] = None) -> Optional[A
     return value
 
 
+def mark_cache_hit(result: Any, label: str) -> Any:
+    """Stamp this run's provenance on a result it did not simulate.
+
+    Used for cache hits and for copies shared with another job. The
+    stored result may reference a timeline or probe file in the run
+    directory that produced it, and the cluster worker that simulated
+    it; none of that belongs to this run, and nothing was restored.
+    """
+    result.label = label
+    result.from_cache = True
+    result.timeline_file = None
+    result.probe_file = None
+    result.worker_id = None
+    result.warm_restored = False
+    return result
+
+
 def store(fp: str, value: Any) -> None:
     """Persist ``value`` under fingerprint ``fp`` (atomic replace).
 

@@ -25,8 +25,8 @@ Environment contract (documented in README):
   worker processes appending to the same file.
 
 Forced events (``force=True``) bypass the disabled state but still
-honour the rendering mode — this is how ``REPRO_PROFILE`` output keeps
-appearing for users who never opted into the event log.
+honour the rendering mode — this is how the serve daemon's lifecycle
+events keep appearing for users who never opted into the event log.
 """
 
 from __future__ import annotations

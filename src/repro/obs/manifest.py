@@ -56,7 +56,6 @@ _ENV_KEYS = (
     "REPRO_CACHE_DIR",
     "REPRO_CACHE_MAX_MB",
     "REPRO_LOG_FILE",
-    "REPRO_PROFILE",
     "REPRO_RUNS_DIR",
     "REPRO_RETRIES",
     "REPRO_RETRY_BACKOFF_S",
@@ -64,21 +63,14 @@ _ENV_KEYS = (
     "REPRO_FAULT_SPEC",
     "REPRO_FAULT_STATE",
     "REPRO_CLUSTER_LEASE_TTL_S",
-    "REPRO_CLUSTER_HEARTBEAT_S",
     "REPRO_CLUSTER_BATCH",
-    "REPRO_CLUSTER_POLL_S",
     "REPRO_SERVE_TIMEOUT_S",
     "REPRO_ENGINE",
     "REPRO_BATCH_BACKEND",
     "REPRO_NATIVE_DIR",
     "REPRO_SNAPSHOTS",
     "REPRO_SCHED_POLICY",
-    "REPRO_SCHED_SHARDS",
     "REPRO_TENANTS",
-    "REPRO_SCHED_SPECULATE",
-    "REPRO_SCHED_SPEC_PCTL",
-    "REPRO_SCHED_SPEC_FACTOR",
-    "REPRO_SCHED_SPEC_MIN_S",
 )
 
 

@@ -1,23 +1,18 @@
-"""``repro.sched`` — scheduling policies, tenancy, and speculation.
+"""``repro.sched`` — scheduling policies and tenancy.
 
 The scheduling-policy subsystem shared by every execution backend
-(DESIGN.md §15). It owns three concerns that used to be hard-wired
-into ``repro.serve.scheduler`` and ``repro.cluster.coordinator``:
+(DESIGN.md §15). It owns two concerns that used to be hard-wired into
+``repro.serve.scheduler`` and ``repro.cluster.coordinator``:
 
 * **queuing policy** (:mod:`repro.sched.policy`) — a pluggable
   ``fifo | priority | wfq`` queue (``REPRO_SCHED_POLICY``). The serve
-  scheduler orders *jobs* with it, the sharded cluster coordinator
-  orders *points* with it, and ``run_points`` dispatches local work
-  through it, so one policy engine drives ``local|cluster|hybrid``.
+  scheduler orders *jobs* with it, the cluster coordinator orders
+  *points* with it, and ``run_points`` dispatches local work through
+  it, so one policy engine drives ``local|cluster``.
 * **tenancy** (:mod:`repro.sched.tenants`) — per-tenant weights,
   admission quotas, and rate limits parsed from ``REPRO_TENANTS``,
   plus the cardinality-guarded label helper that keeps per-tenant
   metrics inside the registry's label-set cap.
-* **speculation** (:mod:`repro.sched.speculate`) — percentile-based
-  straggler detection: once enough point durations are observed, a
-  leased point that outlives ``pctl × factor`` is re-leased to an idle
-  worker. Bit-identical determinism makes the duplicate safe;
-  first-upload-wins resolves the race.
 """
 
 from repro.sched.policy import (  # noqa: F401
@@ -34,8 +29,4 @@ from repro.sched.tenants import (  # noqa: F401
     TokenBucket,
     guarded_labels,
     validate_tenant,
-)
-from repro.sched.speculate import (  # noqa: F401
-    DurationTracker,
-    SpeculationConfig,
 )

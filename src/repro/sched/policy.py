@@ -2,7 +2,7 @@
 
 One :class:`PolicyQueue` implementation orders all deferred work in the
 system, whatever the granularity: the serve scheduler queues *jobs*,
-the sharded cluster coordinator queues *points*, and the local
+the cluster coordinator queues *points*, and the local
 ``run_points`` dispatcher queues *spec indices*. ``REPRO_SCHED_POLICY``
 selects the engine everywhere (constructors also take it explicitly):
 
@@ -19,9 +19,9 @@ selects the engine everywhere (constructors also take it explicitly):
   up credit while idle).
 
 Policies are deliberately not thread-safe: every caller already owns a
-lock around its queue (scheduler lock, shard lock, the single-threaded
-dispatch loop), and keeping the policy lock-free keeps lock ordering
-trivial.
+lock around its queue (scheduler lock, coordinator lock, the
+single-threaded dispatch loop), and keeping the policy lock-free keeps
+lock ordering trivial.
 """
 
 from __future__ import annotations
@@ -40,10 +40,7 @@ POLICIES = ("fifo", "priority", "wfq")
 #: the historical serve-scheduler behavior; unchanged by default.
 DEFAULT_POLICY = "priority"
 
-#: process-wide arrival counter used as the FIFO tiebreak in every
-#: queue. Shared (rather than per-instance) so :meth:`peek_key` values
-#: from different shards of one sharded consumer compare by true global
-#: arrival order, not per-shard arrival order.
+#: arrival counter used as the FIFO tiebreak in every queue.
 _ARRIVALS = itertools.count(1)
 
 
@@ -77,15 +74,6 @@ class PolicyQueue:
         """Next item by policy order, or None when empty."""
         raise NotImplementedError
 
-    def peek_key(self) -> Optional[Tuple]:
-        """Sort key of the next item, or None when empty.
-
-        Keys are comparable across queues of the same policy class, so
-        a sharded consumer (the cluster coordinator) can pick the
-        globally next item by comparing every shard's head.
-        """
-        raise NotImplementedError
-
     def __len__(self) -> int:
         raise NotImplementedError
 
@@ -107,11 +95,6 @@ class FifoQueue(PolicyQueue):
         if not self._items:
             return None
         return self._items.popleft()[2]
-
-    def peek_key(self):
-        if not self._items:
-            return None
-        return (self._items[0][0],)
 
     def __len__(self) -> int:
         return len(self._items)
@@ -138,11 +121,6 @@ class PriorityHeapQueue(PolicyQueue):
         if not self._heap:
             return None
         return heapq.heappop(self._heap)[3]
-
-    def peek_key(self):
-        if not self._heap:
-            return None
-        return self._heap[0][:2]
 
     def __len__(self) -> int:
         return len(self._heap)
@@ -178,11 +156,6 @@ class WfqQueue(PolicyQueue):
         vft, _seq, _tenant, item = heapq.heappop(self._heap)
         self._vtime = vft
         return item
-
-    def peek_key(self):
-        if not self._heap:
-            return None
-        return self._heap[0][:2]
 
     def __len__(self) -> int:
         return len(self._heap)

@@ -20,7 +20,7 @@ Layers:
   ``/healthz``, ``/metrics``);
 * :mod:`repro.serve.client` — a stdlib client used by tests and CI.
 
-With ``--backend cluster`` (or ``hybrid``) the daemon doubles as the
+With ``--backend cluster`` the daemon doubles as the
 coordinator of a :mod:`repro.cluster` worker fleet: fresh points go to
 a lease queue that ``python -m repro.cluster.worker`` agents drain over
 the same HTTP server (DESIGN.md §10).

@@ -23,8 +23,8 @@ GET       /workers                cluster fleet listing (404 when the
 POST      /cluster/register       cluster work-lease protocol
 POST      /cluster/lease          (DESIGN.md §10; bodies built by
 POST      /cluster/heartbeat      ``repro.cluster.protocol``; served
-POST      /cluster/complete       only with ``--backend cluster`` or
-POST      /cluster/fail           ``hybrid``)
+POST      /cluster/complete       only with ``--backend cluster``)
+POST      /cluster/fail
 ========  ======================  =======================================
 
 ``python -m repro.serve`` runs :func:`main`. The server is a
@@ -150,7 +150,7 @@ class ServeHandler(BaseHTTPRequestHandler):
                     return self._error(
                         404,
                         "cluster backend not enabled "
-                        "(start the daemon with --backend cluster|hybrid)",
+                        "(start the daemon with --backend cluster)",
                     )
                 stats = coordinator.stats()
                 return self._send(
@@ -162,9 +162,7 @@ class ServeHandler(BaseHTTPRequestHandler):
                         "active_leases": stats["active_leases"],
                         "draining": stats["draining"],
                         "policy": stats["policy"],
-                        "shards": stats["shards"],
                         "pending_by_tenant": stats["pending_by_tenant"],
-                        "speculation": stats["speculation"],
                     },
                 )
             parts = path.strip("/").split("/")
@@ -232,7 +230,7 @@ class ServeHandler(BaseHTTPRequestHandler):
             return self._error(
                 404,
                 "cluster backend not enabled "
-                "(start the daemon with --backend cluster|hybrid)",
+                "(start the daemon with --backend cluster)",
             )
         handlers = {
             "/cluster/register": coordinator.register,
@@ -338,8 +336,8 @@ def main(argv=None) -> int:
         choices=BACKENDS,
         default="local",
         help="execution backend: 'local' uses this host's pool, "
-        "'cluster' leases every point to repro.cluster.worker agents, "
-        "'hybrid' does both (default %(default)s)",
+        "'cluster' leases every point to repro.cluster.worker agents "
+        "(default %(default)s)",
     )
     parser.add_argument(
         "--policy",

@@ -91,9 +91,8 @@ DEFAULT_MAX_CONCURRENT_JOBS = 4
 
 #: execution backends (DESIGN.md §10): ``local`` keeps the daemon's own
 #: executor; ``cluster`` hands every fresh point to the lease queue for
-#: remote workers; ``hybrid`` additionally runs an embedded worker agent
-#: in-process so the daemon's own cores drain the same queue.
-BACKENDS = ("local", "cluster", "hybrid")
+#: worker agents.
+BACKENDS = ("local", "cluster")
 
 
 class QueueFull(Exception):
@@ -160,7 +159,7 @@ class JobScheduler:
         self.policy = policy if policy is not None else sched_policy()
         self.tenants = tenants if tenants is not None else TenantTable.from_env()
         self.coordinator = None
-        if backend != "local":
+        if backend == "cluster":
             # Deferred import: repro.cluster.worker imports repro.serve.
             from repro.cluster.coordinator import ClusterCoordinator
 
@@ -169,8 +168,6 @@ class JobScheduler:
                 policy=self.policy,
                 tenants=self.tenants,
             )
-        self._embedded_agent = None
-        self._embedded_thread: Optional[threading.Thread] = None
         self._lock = threading.Lock()
         self._wake = threading.Condition(self._lock)
         self._queue = make_policy(self.policy, self.tenants)
@@ -268,31 +265,6 @@ class JobScheduler:
             self._dispatcher.start()
         if self.coordinator is not None:
             self.coordinator.start()
-        if self.backend == "hybrid":
-            self._start_embedded_agent()
-
-    def _start_embedded_agent(self) -> None:
-        """Hybrid mode: an in-process worker agent drains the same lease
-        queue as remote workers, using the daemon's own cores."""
-        from repro.cluster.worker import LocalTransport, WorkerAgent
-
-        simulate = None
-        if self._simulate is not run_spec:
-            # An injected simulate callable (tests) is not picklable
-            # across processes; the agent then runs it in-process.
-            simulate = lambda spec: self._simulate(spec, None)  # noqa: E731
-        self._embedded_agent = WorkerAgent(
-            LocalTransport(self.coordinator),
-            capacity=self.workers,
-            name="embedded",
-            simulate=simulate,
-        )
-        self._embedded_thread = threading.Thread(
-            target=self._embedded_agent.run,
-            name="serve-embedded-worker",
-            daemon=True,
-        )
-        self._embedded_thread.start()
 
     def stop(self, wait: bool = True) -> None:
         """Stop dispatching; running simulations are abandoned."""
@@ -307,10 +279,6 @@ class JobScheduler:
         for thread in threads:
             if wait:
                 thread.join(timeout=10)
-        if self._embedded_agent is not None:
-            self._embedded_agent.drain()
-            if wait and self._embedded_thread is not None:
-                self._embedded_thread.join(timeout=10)
         if self.coordinator is not None:
             self.coordinator.stop()
         if executor is not None:
@@ -592,7 +560,7 @@ class JobScheduler:
         future, True, gen). ``gen`` is the executor generation the
         future belongs to, for :meth:`_maybe_rebuild`.
 
-        With a cluster/hybrid backend the fresh submission goes to the
+        With the cluster backend the fresh submission goes to the
         coordinator's lease queue instead of the local executor; the
         returned future resolves when a worker uploads the result (or
         fails with :class:`repro.cluster.coordinator.LeaseExpired` when
@@ -605,17 +573,14 @@ class JobScheduler:
         if pointcache.cache_enabled():
             cached = pointcache.load(fp, require_attrs=pointcache.RESULT_ATTRS)
             if cached is not None:
-                cached.label = spec.label
-                cached.from_cache = True
-                cached.timeline_file = None
-                cached.worker_id = None
+                pointcache.mark_cache_hit(cached, spec.label)
                 return "cache", cached, None, False, self._executor_gen
         with self._lock:
             future = self._inflight.get(fp)
             if future is not None:
                 return "dedup", None, future, False, self._executor_gen
             if self.coordinator is not None:
-                # Lock order scheduler -> coordinator shard; submit only
+                # Lock order scheduler -> coordinator; submit only
                 # enqueues (it never resolves futures), so this cannot
                 # re-enter the scheduler lock.
                 future = self.coordinator.submit(spec, run_dir, tenant=tenant)
@@ -722,7 +687,11 @@ class JobScheduler:
                 )
                 attempts[index] = 1
             for index, spec in enumerate(specs):
-                if interrupted() or errors:
+                # A point boundary is a recorded point, so the first
+                # acquired point is always awaited: an interruption that
+                # lands before this thread starts waiting on it must not
+                # skip a point that is already running.
+                if errors or (index and interrupted()):
                     break
                 entry = acquired[index]
                 if entry is None:  # acquisition was interrupted
@@ -761,10 +730,9 @@ class JobScheduler:
                             # Shared with the owning job: take a private
                             # copy and stamp our label; we did not pay
                             # for the simulation.
-                            result = copy.copy(result)
-                            result.label = spec.label
-                            result.from_cache = True
-                            result.timeline_file = None
+                            result = pointcache.mark_cache_hit(
+                                copy.copy(result), spec.label
+                            )
                         break
                     if charged and attempts[index] > retries:
                         errors[index] = error

@@ -74,18 +74,20 @@ def make_tiny_l3fwd(packet_bytes: int = 256, zero_copy: bool = False) -> L3fwdWo
 
 @pytest.fixture(autouse=True, scope="session")
 def _isolate_observability(tmp_path_factory):
-    """Keep tests from littering results/runs or inheriting obs knobs.
+    """Keep tests from littering results/ or inheriting obs knobs.
 
     Manifests stay enabled (tests exercise them) but are written under
-    a session tmp dir; epoch sampling and the event log default off so
-    the suite stays quiet and bit-identical to the seed behaviour.
-    Session-scoped so it runs before the module-scoped figure fixtures
-    in test_experiments.py (which call run_points during setup).
+    a session tmp dir, and the point cache starts empty in another one,
+    so a run never depends on what the working tree's cache holds.
+    Epoch sampling and the event log default off so the suite stays
+    quiet and bit-identical to the seed behaviour. Session-scoped so it
+    runs before the module-scoped figure fixtures in test_experiments.py
+    (which call run_points during setup).
     """
     mp = pytest.MonkeyPatch()
-    mp.setenv(
-        "REPRO_RUNS_DIR", str(tmp_path_factory.mktemp("obs") / "runs")
-    )
+    session_dir = tmp_path_factory.mktemp("obs")
+    mp.setenv("REPRO_RUNS_DIR", str(session_dir / "runs"))
+    mp.setenv("REPRO_CACHE_DIR", str(session_dir / "pointcache"))
     for var in (
         "REPRO_EPOCH",
         "REPRO_LOG",
@@ -99,19 +101,12 @@ def _isolate_observability(tmp_path_factory):
         "REPRO_FAULT_SPEC",
         "REPRO_FAULT_STATE",
         "REPRO_CLUSTER_LEASE_TTL_S",
-        "REPRO_CLUSTER_HEARTBEAT_S",
         "REPRO_CLUSTER_BATCH",
-        "REPRO_CLUSTER_POLL_S",
         "REPRO_CLUSTER_WORKER",
         "REPRO_SERVE_TIMEOUT_S",
         "REPRO_SNAPSHOTS",
         "REPRO_SCHED_POLICY",
-        "REPRO_SCHED_SHARDS",
         "REPRO_TENANTS",
-        "REPRO_SCHED_SPECULATE",
-        "REPRO_SCHED_SPEC_PCTL",
-        "REPRO_SCHED_SPEC_FACTOR",
-        "REPRO_SCHED_SPEC_MIN_S",
     ):
         mp.delenv(var, raising=False)
     yield

@@ -8,7 +8,7 @@ Four layers:
   side of the seam;
 * agent tests over :class:`LocalTransport` — the pull loop, ``--once``,
   drain-release, failure reporting, re-registration;
-* integration — ``JobScheduler(backend="cluster"|"hybrid")`` end to
+* integration — ``JobScheduler(backend="cluster")`` end to
   end, including the lease-expiry acceptance test (a worker leases
   points and goes silent; the points requeue, a healthy worker
   finishes, and the result is bit-identical to ``run_points``) and a
@@ -175,13 +175,8 @@ class TestProtocol:
         assert protocol.lease_ttl_s() == protocol.DEFAULT_LEASE_TTL_S
         monkeypatch.setenv("REPRO_CLUSTER_LEASE_TTL_S", "3.0")
         assert protocol.lease_ttl_s() == 3.0
-        assert protocol.heartbeat_s() == pytest.approx(1.0)
-        monkeypatch.setenv("REPRO_CLUSTER_HEARTBEAT_S", "0.4")
-        assert protocol.heartbeat_s() == 0.4
         monkeypatch.setenv("REPRO_CLUSTER_BATCH", "7")
         assert protocol.batch_size() == 7
-        monkeypatch.setenv("REPRO_CLUSTER_POLL_S", "0.1")
-        assert protocol.poll_s() == 0.1
 
     def test_env_knob_validation(self, monkeypatch):
         monkeypatch.setenv("REPRO_CLUSTER_LEASE_TTL_S", "zero")
@@ -205,7 +200,7 @@ class TestProtocol:
 
 class TestCoordinator:
     def test_register_pushes_fleet_config(self):
-        coord = ClusterCoordinator(lease_ttl=9.0, heartbeat=3.0, batch=2)
+        coord = ClusterCoordinator(lease_ttl=9.0, batch=2)
         reply = coord.register(
             protocol.register_request(
                 pointcache.code_salt(), 4, "h", 7, name="w0"
@@ -213,8 +208,9 @@ class TestCoordinator:
         )
         assert reply["worker_id"].startswith("w-")
         assert reply["lease_ttl_s"] == 9.0
-        assert reply["heartbeat_s"] == 3.0
+        assert reply["heartbeat_s"] == 3.0  # a third of the TTL
         assert reply["batch"] == 2
+        assert reply["poll_s"] == protocol.POLL_S
         snapshot = coord.workers_snapshot()[0]
         assert snapshot["name"] == "w0"
         assert snapshot["capacity"] == 4
@@ -390,24 +386,63 @@ class TestCoordinator:
         assert "cluster_lease_expired_total 1" in text
         assert "cluster_late_results_total 1" in text
 
+    def test_upload_for_done_future_is_cached_not_raised(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "pointcache"))
+        monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
+        coord = ClusterCoordinator(lease_ttl=30.0, batch=4)
+        future = coord.submit(one_spec(1, "p1"), None)
+        wid = register(coord)
+        grant = coord.lease(protocol.lease_request(wid, 4))
+        assert future.running()
+        # A leased future is running, so Future.cancel() refuses it:
+        # finish it out of band instead, as a second resolver would.
+        future.set_result(FakeResult("elsewhere"))
+        fp = grant["points"][0]["fingerprint"]
+        reply = coord.complete(
+            protocol.complete_request(
+                wid,
+                grant["lease_id"],
+                [
+                    {
+                        "fingerprint": fp,
+                        "payload": protocol.encode_payload(FakeResult("p1")),
+                    }
+                ],
+            )
+        )
+        assert reply["accepted"] is True
+        assert (reply["resolved"], reply["late"]) == (0, 1)
+        assert future.result(timeout=1).label == "elsewhere"
+        cached = pointcache.load(fp)
+        assert cached is not None and cached.worker_id == wid
+        text = coord.registry.render_text()
+        assert "cluster_late_results_total 1" in text
+        assert "cluster_points_remote_total 0" in text
+
     def test_stats_and_worker_gauges(self):
         coord = ClusterCoordinator(lease_ttl=30.0, batch=4)
         coord.submit(one_spec(1, "p1"), None)
+        for i in (2, 3):
+            coord.submit(one_spec(i, f"a{i}"), None, tenant="alice")
+        coord.submit(one_spec(4, "b4"), None, tenant="bob")
         register(coord)
         stats = coord.stats()
-        assert stats["pending_points"] == 1
+        assert stats["pending_points"] == 4
         assert stats["active_leases"] == 0
         assert stats["workers"] == 1
         assert stats["draining"] is False
         assert stats["policy"] == "priority"
-        assert stats["pending_by_tenant"] == {"default": 1}
-        # The sharded breakdown must account for every pending point.
-        assert len(stats["shards"]) == coord.nshards
-        assert sum(s["pending_points"] for s in stats["shards"]) == 1
-        assert stats["speculation"]["enabled"] is True
-        assert stats["speculation"]["delay_s"] is None  # no samples yet
+        assert stats["pending_by_tenant"] == {
+            "default": 1,
+            "alice": 2,
+            "bob": 1,
+        }
         text = coord.registry.render_text()  # runs the pull collector
-        assert "cluster_pending_points 1" in text
+        assert "cluster_pending_points 4" in text
+        assert 'cluster_tenant_pending_points{tenant="alice"} 2' in text
+        assert 'cluster_tenant_pending_points{tenant="bob"} 1' in text
         assert 'cluster_workers{state="idle"} 1' in text
         assert 'cluster_workers{state="lost"} 0' in text
 
@@ -526,8 +561,107 @@ class TestWorkerAgent:
         assert len(coord.workers_snapshot()) == 2
 
 
+class TestCoordinatorConcurrency:
+    def test_concurrent_submit_lease_complete_loses_nothing(self):
+        """Submitters, leasing workers and a metrics scraper share the
+        coordinator's one lock; every point must be granted exactly
+        once and resolve with its own result."""
+        coord = ClusterCoordinator(lease_ttl=30.0, batch=1, policy="wfq")
+        specs = [one_spec(100 + i, f"c{i}") for i in range(96)]
+        chunks = [specs[i::4] for i in range(4)]
+        submitted = [[] for _ in chunks]
+        # Two threads per worker id, so per-worker counters are
+        # contended too.
+        wids = [register(coord, capacity=3) for _ in range(4)] * 2
+        stop = threading.Event()
+        errors = []
+
+        def recording(target):
+            def run(*args):
+                try:
+                    target(*args)
+                except BaseException as exc:  # reported by the assert below
+                    errors.append(exc)
+                    raise
+
+            return run
+
+        def submitter(index):
+            tenant = "alice" if index % 2 else "bob"
+            for spec in chunks[index]:
+                submitted[index].append(
+                    (spec.label, coord.submit(spec, None, tenant=tenant))
+                )
+
+        def worker(wid):
+            while not stop.is_set():
+                grant = coord.lease(protocol.lease_request(wid, 1))
+                if not grant["points"]:
+                    time.sleep(0.001)
+                    continue
+                coord.heartbeat(
+                    protocol.heartbeat_request(wid, [grant["lease_id"]])
+                )
+                coord.complete(
+                    protocol.complete_request(
+                        wid,
+                        grant["lease_id"],
+                        [
+                            {
+                                "fingerprint": p["fingerprint"],
+                                "payload": protocol.encode_payload(
+                                    FakeResult(p["label"])
+                                ),
+                            }
+                            for p in grant["points"]
+                        ],
+                    )
+                )
+
+        def scraper():
+            while not stop.is_set():
+                coord.registry.render_text()
+                coord.stats()
+                coord.expire_stale()
+
+        submitters = [
+            threading.Thread(target=recording(submitter), args=(i,))
+            for i in range(len(chunks))
+        ]
+        others = [
+            threading.Thread(target=recording(worker), args=(w,))
+            for w in wids
+        ]
+        others.append(threading.Thread(target=recording(scraper)))
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in submitters + others:
+                thread.start()
+            for thread in submitters:
+                thread.join(timeout=30)
+            futures = [pair for chunk in submitted for pair in chunk]
+            assert len(futures) == len(specs)
+            for label, future in futures:
+                assert future.result(timeout=30).label == label
+        finally:
+            stop.set()
+            for thread in others:
+                thread.join(timeout=10)
+            sys.setswitchinterval(old_interval)
+        assert not any(t.is_alive() for t in submitters + others)
+        assert errors == []
+        stats = coord.stats()
+        assert (stats["pending_points"], stats["active_leases"]) == (0, 0)
+        fleet = coord.workers_snapshot()
+        assert sum(w["points_done"] for w in fleet) == len(specs)
+        text = coord.registry.render_text()
+        assert f"cluster_points_remote_total {len(specs)}" in text
+        assert "cluster_late_results_total 0" in text
+
+
 # ----------------------------------------------------------------------
-# scheduler integration (cluster / hybrid backends)
+# scheduler integration (cluster backend)
 # ----------------------------------------------------------------------
 
 
@@ -539,8 +673,9 @@ def cluster_env(monkeypatch):
 
 class TestSchedulerBackends:
     def test_backend_validation(self):
-        with pytest.raises(ConfigError, match="backend"):
-            JobScheduler(workers=1, backend="bogus")
+        for bogus in ("bogus", "hybrid"):
+            with pytest.raises(ConfigError, match="backend"):
+                JobScheduler(workers=1, backend=bogus)
         s = JobScheduler(workers=1, backend="local")
         assert s.coordinator is None
         s.stop()
@@ -569,26 +704,6 @@ class TestSchedulerBackends:
         text = s.registry.render_text()
         assert "cluster_points_remote_total 2" in text
         assert 'serve_points_total{source="simulated"} 2' in text
-
-    def test_hybrid_backend_embedded_agent(self, cluster_env):
-        calls = []
-
-        def simulate(spec, run_dir):
-            calls.append(spec.label)
-            return FakeResult(spec.label)
-
-        s = JobScheduler(workers=1, backend="hybrid", simulate=simulate)
-        job = s.submit(JobRequest("a", [one_spec(1, "p1")], SCALE))
-        s.start()
-        wait_terminal([job])
-        s.stop()
-        assert job.state == "done"
-        assert calls == ["p1"]
-        names = [w["name"] for w in s.coordinator.workers_snapshot()]
-        assert names == ["embedded"]
-        assert (
-            "cluster_points_remote_total 1" in s.registry.render_text()
-        )
 
     def test_lease_expiry_requeues_and_charges_attempt(self, monkeypatch):
         """The acceptance flow, in-process: a worker leases a point and

@@ -1,10 +1,9 @@
 """Tests for the ``repro.sched`` fair-scheduling subsystem.
 
-Five layers:
+Six layers:
 
-* policy units — fifo / priority / wfq pop order, WFQ service shares
-  within 10% of configured weights, and ``peek_key`` ordering heads of
-  sharded queues exactly like one unsharded queue;
+* policy units — fifo / priority / wfq pop order and WFQ service
+  shares within 10% of configured weights;
 * tenant units — ``REPRO_TENANTS`` parsing, quota defaulting, the
   token bucket against a fake clock;
 * metrics guard — ``guarded_labels`` folding client-controlled tenant
@@ -12,17 +11,14 @@ Five layers:
   cardinality cap instead of crashing;
 * scheduler admission — per-tenant quota / rate 429s carrying the
   tenant, its limit, and current usage;
-* sharded coordinator + speculation — cross-shard grants in global
-  policy order, duplicate leases for stragglers, first-upload-wins
-  with bit-identical rows, and the win/wasted counters;
+* cluster grants — the coordinator leases points in WFQ
+  virtual-finish-time order;
 * engine seam — ``run_points(policy=..., tenant=...)`` stays
   bit-identical to the serial path and records the tenant in the run
   manifest and ``timeline --list``.
 """
 
 from __future__ import annotations
-
-import time
 
 import pytest
 
@@ -43,9 +39,6 @@ from repro.obs.metrics import NULL_INSTRUMENT, MetricsRegistry
 from repro.report.timeline import list_runs
 from repro.sched import (
     DEFAULT_POLICY,
-    POLICIES,
-    DurationTracker,
-    SpeculationConfig,
     TenantTable,
     TokenBucket,
     guarded_labels,
@@ -53,7 +46,6 @@ from repro.sched import (
     sched_policy,
     validate_tenant,
 )
-from repro.sched.speculate import percentile
 from repro.sched.tenants import OVERFLOW_TENANT
 from repro.serve.jobs import JobRequest, parse_job_request
 from repro.serve.scheduler import JobScheduler, QuotaExceeded, RateLimited
@@ -73,17 +65,6 @@ def one_spec(seed: int, label: str = ""):
     )
 
 
-class FakeResult:
-    """The minimal result surface the cluster path touches (picklable)."""
-
-    def __init__(self, label: str) -> None:
-        self.label = label
-        self.sim_seconds = 0.0
-        self.from_cache = False
-        self.timeline_file = None
-        self.worker_id = None
-
-
 def register(coord: ClusterCoordinator, capacity: int = 8) -> str:
     reply = coord.register(
         protocol.register_request(
@@ -94,22 +75,6 @@ def register(coord: ClusterCoordinator, capacity: int = 8) -> str:
         )
     )
     return reply["worker_id"]
-
-
-def upload(coord, wid, lease_id, points):
-    return coord.complete(
-        protocol.complete_request(
-            wid,
-            lease_id,
-            [
-                {
-                    "fingerprint": p["fingerprint"],
-                    "payload": protocol.encode_payload(FakeResult(p["label"])),
-                }
-                for p in points
-            ],
-        )
-    )
 
 
 # -- policy units ---------------------------------------------------------
@@ -163,33 +128,6 @@ class TestPolicies:
         # Equal weights from here on: alice must not get a catch-up
         # burst; service alternates.
         assert first_six.count("alice") == 3
-
-    @pytest.mark.parametrize("name", POLICIES)
-    def test_peek_key_matches_pop_order_across_shards(self, name):
-        """Always popping the shard with the smallest peek_key yields
-        exactly the order one unsharded queue would give."""
-        tenants = TenantTable.from_env()
-        reference = make_policy(name, tenants)
-        shards = [make_policy(name, tenants) for _ in range(3)]
-        for i in range(30):
-            item = (f"t{i % 3}", i)
-            reference.push(item, tenant=item[0], priority=i % 4)
-            shards[i % 3].push(item, tenant=item[0], priority=i % 4)
-        merged = []
-        while True:
-            best = None
-            best_key = None
-            for shard in shards:
-                key = shard.peek_key()
-                if key is not None and (best_key is None or key < best_key):
-                    best_key, best = key, shard
-            if best is None:
-                break
-            merged.append(best.pop())
-        expected = []
-        while len(reference):
-            expected.append(reference.pop())
-        assert merged == expected
 
     def test_policy_selection_and_validation(self, monkeypatch):
         assert sched_policy() == DEFAULT_POLICY
@@ -382,201 +320,66 @@ class TestAdmission:
             parse_job_request(payload)
 
 
-# -- sharded coordinator + speculation ------------------------------------
+# -- cluster grants ------------------------------------------------------
 
 
-def spec_coord(**kwargs):
-    defaults = dict(
-        registry=MetricsRegistry(),
-        lease_ttl=30.0,
-        batch=4,
-        shards=4,
-        speculation=SpeculationConfig(
-            enabled=True, pctl=50.0, factor=1.0, min_delay_s=0.0, min_samples=1
-        ),
-    )
-    defaults.update(kwargs)
-    return ClusterCoordinator(**defaults)
+class TestCoordinatorPolicy:
+    def test_wfq_grants_follow_virtual_finish_time(self, monkeypatch):
+        monkeypatch.setenv("REPRO_TENANTS", "alice:weight=3;bob:weight=1")
+        coord = ClusterCoordinator(
+            registry=MetricsRegistry(),
+            lease_ttl=30.0,
+            batch=1,
+            policy="wfq",
+            tenants=TenantTable.from_env(),
+        )
+        # bob arrives first. All pushes precede any pop, so virtual
+        # finish times are alice k/3 and bob k; ties go to arrival.
+        for i in range(4):
+            coord.submit(one_spec(10 + i, f"b{i}"), None, tenant="bob")
+        for i in range(4):
+            coord.submit(one_spec(20 + i, f"a{i}"), None, tenant="alice")
+        wid = register(coord)
+        granted = []
+        for _ in range(8):
+            grant = coord.lease(protocol.lease_request(wid, 8))
+            assert len(grant["points"]) == 1  # batch=1
+            granted.append(grant["points"][0]["label"])
+        # vft: a0 1/3, a1 2/3, b0 1 (arrived before a2), a2 1, a3 4/3,
+        # b1 2, b2 3, b3 4.
+        assert granted == ["a0", "a1", "b0", "a2", "a3", "b1", "b2", "b3"]
+        assert coord.lease(protocol.lease_request(wid, 8))["points"] == []
 
 
 class TestShardedCoordinator:
-    def test_grants_follow_global_policy_order_across_shards(self):
-        coord = spec_coord(policy="fifo", batch=8)
-        specs = [one_spec(i, f"g{i}") for i in range(8)]
-        futures = [coord.submit(s, None) for s in specs]
-        # Points landed in more than one shard (else the test is vacuous).
-        spread = {coord._shard_of(pointcache.fingerprint(s)).index for s in specs}
-        assert len(spread) > 1
-        wid = register(coord)
-        grant = coord.lease(protocol.lease_request(wid, 8))
-        labels = [p["label"] for p in grant["points"]]
-        assert labels == [f"g{i}" for i in range(8)]  # submission order
-        upload(coord, wid, grant["lease_id"], grant["points"])
-        for future in futures:
-            assert future.result(timeout=1).label.startswith("g")
-
-    def test_leases_route_by_shard_id(self):
-        coord = spec_coord()
-        coord.submit(one_spec(1, "r1"), None)
-        wid = register(coord)
-        grant = coord.lease(protocol.lease_request(wid, 4))
-        shard = coord._lease_shard(grant["lease_id"])
-        assert shard is not None
-        assert grant["lease_id"] in shard.leases
-        # Heartbeat renews through the same routing.
-        before = coord._leases[grant["lease_id"]].deadline_unix
-        time.sleep(0.01)
-        reply = coord.heartbeat(
-            protocol.heartbeat_request(wid, [grant["lease_id"]])
-        )
-        assert reply["renewed"] == [grant["lease_id"]]
-        assert coord._leases[grant["lease_id"]].deadline_unix > before
-
     def test_stats_aggregate_across_shards(self):
-        coord = spec_coord(policy="wfq")
+        """Per-tenant pending counts add up to the coordinator's total,
+        in stats() and in the pulled tenant gauge (one WFQ queue)."""
+        coord = ClusterCoordinator(
+            registry=MetricsRegistry(), lease_ttl=30.0, batch=4, policy="wfq"
+        )
         for i in range(6):
             coord.submit(one_spec(i, f"t{i}"), None, tenant="alice")
         coord.submit(one_spec(99, "b0"), None, tenant="bob")
         stats = coord.stats()
+        assert stats["policy"] == "wfq"
         assert stats["pending_points"] == 7
         assert stats["pending_by_tenant"] == {"alice": 6, "bob": 1}
-        assert len(stats["shards"]) == coord.nshards
-        assert sum(s["pending_points"] for s in stats["shards"]) == 7
+        assert sum(stats["pending_by_tenant"].values()) == 7
         text = coord.registry.render_text()
         assert 'cluster_tenant_pending_points{tenant="alice"} 6' in text
-
-
-class TestSpeculation:
-    def test_percentile_nearest_rank(self):
-        values = sorted([1.0, 2.0, 3.0, 4.0, 5.0])
-        assert percentile(values, 50) == 3.0
-        assert percentile(values, 95) == 5.0
-        assert percentile(values, 1) == 1.0
-        with pytest.raises(ValueError):
-            percentile([], 50)
-
-    def test_tracker_gates_on_samples_and_enable(self):
-        tracker = DurationTracker()
-        config = SpeculationConfig(min_samples=3)
-        assert tracker.delay_s(config) is None
-        for _ in range(3):
-            tracker.record(2.0)
-        assert tracker.delay_s(config) == pytest.approx(6.0)  # p95 * 3
-        disabled = SpeculationConfig(enabled=False)
-        assert tracker.delay_s(disabled) is None
-
-    def test_first_upload_wins_and_counters(self):
-        coord = spec_coord(batch=1)
-        with coord._dur_lock:
-            coord._durations.record(0.01)
-        future = coord.submit(one_spec(1, "slow"), None)
-        w1 = register(coord)
-        w2 = register(coord)
-        grant1 = coord.lease(protocol.lease_request(w1, 1))
-        assert len(grant1["points"]) == 1
-        assert grant1["points"][0]["speculative"] is False
-        # The monitor would do this; force the straggler check directly.
-        launched = coord.speculate_stragglers(now=time.time() + 60.0)
-        assert launched == 1
-        assert coord.speculate_stragglers(now=time.time() + 60.0) == 0  # once
-        grant2 = coord.lease(protocol.lease_request(w2, 1))
-        assert grant2["points"][0]["speculative"] is True
-        assert grant2["points"][0]["fingerprint"] == (
-            grant1["points"][0]["fingerprint"]
-        )
-        # Duplicate worker uploads first and wins the future.
-        reply2 = upload(coord, w2, grant2["lease_id"], grant2["points"])
-        assert (reply2["resolved"], reply2["duplicates"]) == (1, 0)
-        assert future.result(timeout=1).worker_id == w2
-        # The straggler's upload is a harmless duplicate, not an error.
-        reply1 = upload(coord, w1, grant1["lease_id"], grant1["points"])
-        assert reply1["accepted"] is True
-        assert (reply1["resolved"], reply1["duplicates"]) == (0, 1)
-        text = coord.registry.render_text()
-        assert "cluster_speculative_leases_total 1" in text
-        assert "cluster_speculative_wins_total 1" in text
-        assert "cluster_speculative_wasted_total 1" in text
-
-    def test_original_win_counts_duplicate_as_wasted(self):
-        coord = spec_coord(batch=1)
-        with coord._dur_lock:
-            coord._durations.record(0.01)
-        future = coord.submit(one_spec(2, "orig-wins"), None)
-        w1 = register(coord)
-        w2 = register(coord)
-        grant1 = coord.lease(protocol.lease_request(w1, 1))
-        assert coord.speculate_stragglers(now=time.time() + 60.0) == 1
-        grant2 = coord.lease(protocol.lease_request(w2, 1))
-        upload(coord, w1, grant1["lease_id"], grant1["points"])
-        assert future.result(timeout=1).worker_id == w1
-        reply2 = upload(coord, w2, grant2["lease_id"], grant2["points"])
-        assert reply2["duplicates"] == 1
-        text = coord.registry.render_text()
-        assert "cluster_speculative_wins_total 0" in text
-        assert "cluster_speculative_wasted_total 1" in text
-
-    def test_expiry_with_live_duplicate_spares_the_future(self):
-        coord = spec_coord(batch=1)
-        with coord._dur_lock:
-            coord._durations.record(0.01)
-        future = coord.submit(one_spec(3, "survivor"), None)
-        w1 = register(coord)
-        w2 = register(coord)
-        grant1 = coord.lease(protocol.lease_request(w1, 1))
-        assert coord.speculate_stragglers(now=time.time() + 60.0) == 1
-        grant2 = coord.lease(protocol.lease_request(w2, 1))
-        # Only the original lease dies; a duplicate copy is still live:
-        # the future must NOT fail — the duplicate IS the retry.
-        coord._leases[grant1["lease_id"]].deadline_unix = time.time() - 1.0
-        assert coord.expire_stale() == 1
-        assert not future.done()
-        reply2 = upload(coord, w2, grant2["lease_id"], grant2["points"])
-        assert reply2["resolved"] == 1
-        assert future.result(timeout=1).worker_id == w2
-
-    def test_expiry_of_every_copy_fails_the_future(self):
-        coord = spec_coord(batch=1)
-        with coord._dur_lock:
-            coord._durations.record(0.01)
-        future = coord.submit(one_spec(5, "dead"), None)
-        w1 = register(coord)
-        w2 = register(coord)
-        coord.lease(protocol.lease_request(w1, 1))
-        assert coord.speculate_stragglers(now=time.time() + 60.0) == 1
-        coord.lease(protocol.lease_request(w2, 1))
-        # Both workers go silent: no copy is live, so the point charges
-        # an attempt (the scheduler's retry loop re-enqueues it).
-        assert coord.expire_stale(now=time.time() + 60.0) == 2
-        with pytest.raises(Exception) as err:
-            future.result(timeout=1)
-        assert "lease deadline missed" in str(err.value)
-
-    def test_disabled_speculation_never_launches(self):
-        coord = spec_coord(
-            speculation=SpeculationConfig(enabled=False), batch=1
-        )
-        with coord._dur_lock:
-            for _ in range(5):
-                coord._durations.record(0.01)
-        coord.submit(one_spec(4, "nospec"), None)
-        wid = register(coord)
-        coord.lease(protocol.lease_request(wid, 1))
-        assert coord.speculate_stragglers(now=time.time() + 60.0) == 0
-
-    def test_stats_expose_speculation(self):
-        coord = spec_coord()
-        stats = coord.stats()["speculation"]
-        assert stats["enabled"] is True
-        with coord._dur_lock:
-            coord._durations.record(2.0)
-        assert coord.stats()["speculation"]["delay_s"] is not None
+        assert 'cluster_tenant_pending_points{tenant="bob"} 1' in text
 
 
 # -- engine seam ----------------------------------------------------------
 
 
 class TestEngineSeam:
-    def test_policy_dispatch_bit_identical_and_manifest_tenant(self, tmp_path):
+    def test_policy_dispatch_bit_identical_and_manifest_tenant(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "pointcache"))
+        monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
         specs = [one_spec(i, f"seam{i}") for i in range(4)]
         serial = run_points(specs, max_workers=1)
         fair = run_points(
@@ -586,9 +389,19 @@ class TestEngineSeam:
             tenant="alice",
             policy="wfq",
         )
-        assert [point_row(r, SCALE) for r in serial] == [
-            point_row(r, SCALE) for r in fair
-        ]
+
+        def identity(result):
+            # sim_seconds is wall-clock and from_cache is provenance;
+            # both are asserted on their own terms below.
+            row = point_row(result, SCALE)
+            del row["sim_seconds"], row["from_cache"]
+            return row
+
+        assert [identity(r) for r in serial] == [identity(r) for r in fair]
+        # The serial run simulated into an empty cache; the WFQ run
+        # then hit it for every point.
+        assert all(r.from_cache is False for r in serial)
+        assert all(r.from_cache is True for r in fair)
         run_dirs = sorted(runs_dir().glob("sched-seam-*"))
         assert run_dirs, "run manifest missing"
         manifest = RunManifest.load(run_dirs[-1] / "manifest.json")

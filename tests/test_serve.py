@@ -22,6 +22,7 @@ import urllib.request
 
 import pytest
 
+from repro.engine import pointcache
 from repro.engine.parallel import run_points
 from repro.errors import ConfigError
 from repro.experiments import SPEC_BUILDERS
@@ -183,6 +184,34 @@ class TestScheduler:
         text = s.registry.render_text()
         assert 'serve_points_total{source="dedup"} 1' in text
         assert 'serve_points_total{source="simulated"} 1' in text
+
+    def test_cache_hit_resets_provenance_in_manifest(self, cache_dir):
+        spec = one_spec(3, "hit")
+        stored = FakeResult("from-another-run")
+        stored.warm_restored = True
+        stored.probe_file = "/elsewhere/probes.npz"
+        stored.timeline_file = "timelines/elsewhere.jsonl"
+        stored.worker_id = "w-elsewhere"
+        pointcache.store(pointcache.fingerprint(spec), stored)
+
+        def simulate(spec, run_dir):
+            raise AssertionError("a cache hit must not simulate")
+
+        s = JobScheduler(workers=1, simulate=simulate)
+        job = s.submit(JobRequest("hit", [spec], SCALE))
+        s.start()
+        wait_terminal([job])
+        s.stop()
+        assert job.state == "done" and job.cached_points == 1
+        point = job_manifest(job).points[0]
+        assert point.label == "hit"
+        assert point.from_cache is True
+        # Nothing was restored this run, and the other run's files and
+        # worker are not this run's provenance.
+        assert point.warm_restored is False
+        assert point.probe_file is None
+        assert point.timeline_file is None
+        assert point.worker_id is None
 
     def test_parse_job_request_validation(self):
         with pytest.raises(BadRequest):
