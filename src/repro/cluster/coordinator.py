@@ -1,10 +1,11 @@
 """Coordinator-side state of the cluster: workers, leases, pending points.
 
-The scheduler's execution seam hands points here instead of a local
-``ProcessPoolExecutor`` when the daemon runs with ``--backend cluster``:
-:meth:`ClusterCoordinator.submit` returns a plain
-:class:`concurrent.futures.Future` that the existing per-job wait /
-retry / timeout loop consumes unchanged. Worker agents then drive the
+The scheduler's ``acquire`` step hands points here instead of its
+local :class:`~repro.engine.parallel.PointPool` when the daemon runs
+with ``--backend cluster``: :meth:`ClusterCoordinator.submit` returns a
+plain :class:`concurrent.futures.Future` that the engine's attempt loop
+(:func:`~repro.engine.parallel.run_attempts`) waits on, retries and
+times out like a pool's. Worker agents then drive the
 other side over the wire protocol (:mod:`repro.cluster.protocol`):
 
 * ``lease`` pops up to a batch of pending points, stamps a deadline
@@ -617,7 +618,7 @@ class ClusterCoordinator:
         """Expire leases past their deadline; returns how many expired.
 
         Each unresolved point fails with :class:`LeaseExpired`, which
-        the scheduler's per-point retry loop converts into a charged
+        the attempt loop converts into a charged
         attempt + re-enqueue.
         """
         now = time.time() if now is None else now

@@ -9,12 +9,13 @@ Run one (or N) per host against a coordinator started with
 The agent registers (proving it runs the same source tree via
 ``pointcache.code_salt``), then loops: lease a batch of points,
 simulate them with the exact engine entry point a local run uses
-(:func:`repro.engine.parallel.run_cached_spec`), upload the pickled
-results keyed by fingerprint, repeat. A heartbeat thread renews held
-leases every ``heartbeat_s`` (a third of the lease TTL, pushed by the
-coordinator at registration) so a healthy worker never loses a lease; a
-worker that dies simply stops heartbeating and the coordinator requeues
-its points.
+(:func:`repro.engine.parallel.run_spec`), upload the pickled results
+keyed by fingerprint, repeat. The agent never touches the point cache:
+the daemon that owns the run reads and writes it. A heartbeat thread
+renews held leases every ``heartbeat_s`` (a third of the lease TTL,
+pushed by the coordinator at registration) so a healthy worker never
+loses a lease; a worker that dies simply stops heartbeating and the
+coordinator requeues its points.
 
 Graceful drain mirrors the daemon's SIGTERM story: the first SIGTERM /
 SIGINT stops the agent at the next *point* boundary — points of the
@@ -29,9 +30,11 @@ hard-kills the agent process even when it simulates in-process — CI
 uses this to kill a worker mid-lease and assert the fleet still
 finishes bit-identically.
 
-Simulation fans out over a local ``ProcessPoolExecutor`` when
-``--capacity`` (default ``REPRO_WORKERS`` / CPU count) is > 1;
-``--capacity 1`` stays in-process and deterministic.
+A lease runs through the engine's one attempt loop
+(:func:`repro.engine.parallel.run_attempts`) on a
+:class:`~repro.engine.parallel.PointPool` of ``--capacity`` workers
+(default ``REPRO_WORKERS`` / CPU count): processes when > 1, one
+in-process thread at ``--capacity 1``.
 """
 
 from __future__ import annotations
@@ -43,21 +46,18 @@ import socket
 import sys
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.cluster import protocol
 from repro.engine import pointcache
-from repro.engine.parallel import default_workers, run_cached_spec
+from repro.engine.parallel import (
+    PointPool,
+    default_workers,
+    run_attempts,
+    run_spec,
+)
 from repro.obs import events as obs_events
 from repro.serve.client import ServeClient, ServeError
-
-
-def _simulate_point(spec):
-    """One point, no run dir (timelines belong to the coordinator's
-    run); module-level so the local ProcessPool can pickle it."""
-    return run_cached_spec(spec, run_dir=None)
 
 
 class ClusterClient(ServeClient):
@@ -134,7 +134,7 @@ class WorkerAgent:
         self._draining = False
         self._lease_lock = threading.Lock()
         self._active_leases: set = set()
-        self._pool: Optional[ProcessPoolExecutor] = None
+        self._pool: Optional[PointPool] = None
         self._heartbeat_thread: Optional[threading.Thread] = None
         self._log = obs_events.get_event_log()
         self.worker_id: Optional[str] = None
@@ -208,7 +208,7 @@ class WorkerAgent:
             if self._heartbeat_thread is not None:
                 self._heartbeat_thread.join(timeout=2)
             if self._pool is not None:
-                self._pool.shutdown(wait=False, cancel_futures=True)
+                self._pool.shutdown()
         self._log.info(
             "cluster.worker.exit",
             worker=self.worker_id,
@@ -287,10 +287,7 @@ class WorkerAgent:
         t0 = time.perf_counter()
         try:
             decoded = [self._decode(item) for item in points]
-            if self.capacity > 1 and self._simulate is None:
-                self._execute_pool(decoded, results, failures, released)
-            else:
-                self._execute_serial(decoded, results, failures, released)
+            self._execute(decoded, results, failures, released)
         except Exception as exc:
             # A lease-level fault (undecodable point, pool setup): abort
             # the whole lease so the coordinator can fail/requeue it.
@@ -338,86 +335,52 @@ class WorkerAgent:
             wall_s=time.perf_counter() - t0,
         )
 
-    def _execute_serial(
+    def _execute(
         self,
         decoded: List[Tuple[str, Any]],
         results: List[Dict[str, str]],
         failures: List[Dict[str, str]],
         released: List[str],
     ) -> None:
-        simulate = self._simulate if self._simulate is not None else _simulate_point
-        for fp, spec in decoded:
-            if self._draining:
-                released.append(fp)
-                continue
-            try:
-                result = simulate(spec)
-            except Exception as exc:
-                self.points_failed += 1
-                failures.append(
-                    {
-                        "fingerprint": fp,
-                        "error": f"{type(exc).__name__}: {exc}",
-                    }
-                )
-                continue
-            self.points_done += 1
-            results.append(
-                {
-                    "fingerprint": fp,
-                    "payload": protocol.encode_payload(result),
-                }
-            )
+        """Run a lease's points through the engine's attempt loop.
 
-    def _execute_pool(
-        self,
-        decoded: List[Tuple[str, Any]],
-        results: List[Dict[str, str]],
-        failures: List[Dict[str, str]],
-        released: List[str],
-    ) -> None:
+        One attempt each: the coordinator charges and retries a failed
+        point, so the loop here retries only attempts that never ran.
+        A drain stops at the next point boundary; the points it skips
+        are released, uncharged.
+        """
         if self._pool is None:
-            self._pool = ProcessPoolExecutor(max_workers=self.capacity)
-        futures: List[Tuple[Any, str, Any]] = []
-        for fp, spec in decoded:
-            if self._draining:
-                released.append(fp)
-                continue
-            try:
-                futures.append((self._pool.submit(_simulate_point, spec), fp, spec))
-            except BrokenProcessPool:
-                self._pool = None
-                released.append(fp)
-        for future, fp, spec in futures:
-            try:
-                result = future.result()
-            except BrokenProcessPool as exc:
-                # The pool is gone; a fresh one is built next lease. The
-                # coordinator charges these as ordinary point failures.
-                self._pool = None
-                self.points_failed += 1
-                failures.append(
-                    {
-                        "fingerprint": fp,
-                        "error": f"{type(exc).__name__}: {exc}",
-                    }
-                )
-            except Exception as exc:
-                self.points_failed += 1
-                failures.append(
-                    {
-                        "fingerprint": fp,
-                        "error": f"{type(exc).__name__}: {exc}",
-                    }
-                )
-            else:
+            # An injected simulate stays in-process (it need not pickle).
+            self._pool = PointPool(self.capacity if self._simulate is None else 1)
+        pool = self._pool
+        simulate = self._simulate if self._simulate is not None else run_spec
+        specs = [spec for _, spec in decoded]
+        outcomes: List[Any] = [None] * len(specs)
+        errors: Dict[int, str] = {}
+        run_attempts(
+            specs,
+            lambda i: ("simulated", pool.submit(simulate, specs[i])),
+            outcomes, [0] * len(specs), errors,
+            retries=0,
+            backoff=0.0,
+            timeout=None,
+            capacity=pool.workers,
+            interrupted=lambda: self._draining,
+        )
+        for i, (fp, _spec) in enumerate(decoded):
+            if outcomes[i] is not None:
                 self.points_done += 1
                 results.append(
                     {
                         "fingerprint": fp,
-                        "payload": protocol.encode_payload(result),
+                        "payload": protocol.encode_payload(outcomes[i]),
                     }
                 )
+            elif i in errors:
+                self.points_failed += 1
+                failures.append({"fingerprint": fp, "error": errors[i]})
+            else:
+                released.append(fp)
 
 
 def main(argv: Optional[List[str]] = None) -> int:

@@ -10,6 +10,7 @@ from repro.engine.analytic import (
 )
 from repro.engine.events import DropSimResult, FiniteRingSimulator
 from repro.engine.dynamic import DynamicWaysSimulator
+from repro.engine.provenance import result_identity
 
 __all__ = [
     "CollocationResult",
@@ -22,6 +23,7 @@ __all__ = [
     "TraceResult",
     "TraceSimulator",
     "perf_at_load",
+    "result_identity",
     "solve_peak_throughput",
     "xmem_ipc",
 ]

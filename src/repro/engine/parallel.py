@@ -1,23 +1,31 @@
-"""Parallel execution of independent simulation points.
+"""Execution of independent simulation points.
 
 A figure of the paper is a grid of independent trace simulations: every
 point owns its cache hierarchy, workload state, and RNG seeds, so points
-share nothing and can run in separate processes. This module provides
-the fan-out:
+share nothing and can run in separate processes. This module is the
+one execution core that ``run_points``, the serve daemon
+(:mod:`repro.serve.scheduler`) and cluster workers
+(:mod:`repro.cluster.worker`) all drive:
 
 * :class:`PointSpec` — a picklable description of one grid point (the
   workload is shipped *pre-build*; the worker's simulator calls
   ``build()`` with the spec's seed, which is what makes serial and
   parallel runs bit-identical);
-* :func:`run_spec` — simulate one spec (the worker entry point);
+* :func:`run_spec` — simulate one spec (what every worker runs);
+* :class:`PointPool` — the one owner of an executor: one in-process
+  thread for 1 worker, else a process pool, rebuilt after a collapse;
+* :func:`run_attempts` — the one attempt loop: cache hits, attaches
+  to in-flight attempts and fresh submits, with retries, timeouts,
+  warmup-group holds and a point-boundary interrupt;
 * :func:`run_points` — run a spec list, preserving order, across
-  ``REPRO_WORKERS`` processes (1 = deterministic serial fallback);
+  ``REPRO_WORKERS`` workers (1 = the deterministic serial path);
 * :func:`run_tasks` — the same fan-out for arbitrary picklable
   functions (used by the collocation study, whose results are not
   :class:`PointResult` objects).
 
 Results are memoized through :mod:`repro.engine.pointcache` unless
-``REPRO_NO_CACHE=1``.
+``REPRO_NO_CACHE=1``. The process that owns a run is the one that reads
+and writes the cache; workers only simulate.
 
 Fault tolerance (DESIGN.md §9): a failing point is retried up to
 ``REPRO_RETRIES`` times with exponential backoff starting at
@@ -45,19 +53,21 @@ per-point start/finish/cached events with a live ETA (plus
 
 from __future__ import annotations
 
+import heapq
 import os
+import threading
 import time
 from concurrent.futures import (
     FIRST_COMPLETED,
     CancelledError,
     Future,
     ProcessPoolExecutor,
+    ThreadPoolExecutor,
     as_completed,
 )
 from concurrent.futures import wait as futures_wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from functools import partial
 from pathlib import Path
 from typing import (
     Callable,
@@ -78,7 +88,6 @@ from repro.obs.manifest import PointRecord, RunManifest
 from repro.nic.arrivals import BurstProfile
 from repro.obs.timeline import ObsContext, write_jsonl
 from repro.params import SystemConfig
-from repro.sched.policy import make_policy
 from repro.sched.tenants import DEFAULT_TENANT
 from repro.sidechannel.observer import ObserverConfig
 from repro.workloads.base import Workload
@@ -145,10 +154,10 @@ def retry_backoff_s() -> float:
 def point_timeout_s() -> Optional[float]:
     """Straggler timeout from ``REPRO_POINT_TIMEOUT_S`` (None = off).
 
-    A parallel attempt exceeding the timeout is abandoned (the worker
-    finishes in the background; its result is discarded) and the point
-    rescheduled, charging one attempt. The serial path cannot interrupt
-    an in-process simulation, so the timeout only applies to workers.
+    An attempt exceeding the timeout, counted from its submission, is
+    abandoned (the worker finishes in the background; its result is
+    discarded) and the point rescheduled, charging one attempt. With
+    one worker thread the retry queues behind the abandoned attempt.
     """
     env = os.environ.get("REPRO_POINT_TIMEOUT_S", "").strip()
     if not env:
@@ -370,15 +379,14 @@ def run_spec(spec: PointSpec, run_dir: Optional[str] = None):
 
 
 def run_cached_spec(spec: PointSpec, run_dir: Optional[str] = None):
-    """:func:`run_spec` through the persistent point cache."""
-    if not pointcache.cache_enabled():
-        return run_spec(spec, run_dir=run_dir)
+    """:func:`run_spec` through the persistent point cache (one spec,
+    in this process)."""
     fp = pointcache.fingerprint(spec)
-    cached = pointcache.load(fp, require_attrs=pointcache.RESULT_ATTRS)
+    cached = cached_result(spec, fp)
     if cached is not None:
-        return pointcache.mark_cache_hit(cached, spec.label)
+        return cached
     result = run_spec(spec, run_dir=run_dir)
-    pointcache.store(fp, result)
+    store_result(fp, result)
     return result
 
 
@@ -523,269 +531,245 @@ def _emit_point_progress(
     )
 
 
-def _run_serial(
-    spec_list: Sequence[PointSpec],
-    runner: Callable,
-    log,
-    run_label: Optional[str],
-    t0: float,
-    retries: int,
-    backoff: float,
+class PointPool:
+    """The one owner of an executor for point attempts.
+
+    ``workers == 1`` is one in-process worker thread: no spawn cost, and
+    the callable need not pickle. More workers is a
+    ``ProcessPoolExecutor``. A dead worker process breaks the pool for
+    good: every attempt in it fails with ``BrokenProcessPool``, and so
+    does the next submit, which rebuilds the pool under the lock, so
+    racing submitters rebuild once per collapse. ``generation`` counts
+    the rebuilds.
+    """
+
+    def __init__(
+        self, workers: int, on_rebuild: Optional[Callable[[], None]] = None
+    ) -> None:
+        self.workers = workers
+        self.generation = 0
+        self._on_rebuild = on_rebuild
+        self._lock = threading.Lock()
+        self._executor = self._new_executor()
+
+    def _new_executor(self):
+        if self.workers > 1:
+            return ProcessPoolExecutor(max_workers=self.workers)
+        return ThreadPoolExecutor(max_workers=1)
+
+    def submit(self, fn: Callable, *args) -> Future:
+        with self._lock:
+            try:
+                return self._executor.submit(fn, *args)
+            except BrokenProcessPool:
+                broken = self._executor
+                self._executor = self._new_executor()
+                self.generation += 1
+                future = self._executor.submit(fn, *args)
+        broken.shutdown(wait=False)
+        obs_events.get_event_log().warning(
+            "pool.rebuild", workers=self.workers, generation=self.generation
+        )
+        if self._on_rebuild is not None:
+            self._on_rebuild()
+        return future
+
+    def shutdown(self) -> None:
+        """Stop the pool; attempts still queued are cancelled."""
+        with self._lock:
+            executor = self._executor
+        executor.shutdown(wait=False, cancel_futures=True)
+
+
+def run_attempts(
+    specs: Sequence[PointSpec],
+    acquire: Callable[[int], Tuple[str, object]],
     results: List,
     attempts: List[int],
     errors: Dict[int, str],
-) -> None:
-    """In-process execution with per-point retries (fills the outputs)."""
-    total = len(spec_list)
-    done = 0
-    for i, spec in enumerate(spec_list):
-        attempt = 0
-        while True:
-            attempt += 1
-            attempts[i] = attempt
-            try:
-                result = runner(spec)
-            except Exception as exc:
-                error = f"{type(exc).__name__}: {exc}"
-                if attempt > retries:
-                    errors[i] = error
-                    log.error(
-                        "point.failed",
-                        run=run_label or "-",
-                        label=spec.label,
-                        attempts=attempt,
-                        error=error,
-                    )
-                    break
-                delay = backoff_delay(backoff, attempt)
-                log.warning(
-                    "point.retry",
-                    run=run_label or "-",
-                    label=spec.label,
-                    attempt=attempt,
-                    backoff_s=delay,
-                    error=error,
-                )
-                if delay:
-                    time.sleep(delay)
-                continue
-            results[i] = result
-            done += 1
-            _emit_point_progress(log, run_label, done, total, result, t0)
-            break
-
-
-def _run_parallel(
-    spec_list: Sequence[PointSpec],
-    runner: Callable,
-    workers: int,
-    log,
-    run_label: Optional[str],
-    t0: float,
+    *,
     retries: int,
     backoff: float,
     timeout: Optional[float],
-    results: List,
-    attempts: List[int],
-    errors: Dict[int, str],
-    holds: Optional[Dict[int, List[int]]] = None,
-    policy: Optional[str] = None,
-    tenant: str = DEFAULT_TENANT,
+    capacity: Optional[int],
+    interrupted: Callable[[], bool] = lambda: False,
+    on_done: Callable[[int, str, object], None] = lambda i, source, result: None,
+    on_retry: Optional[Callable[[int, int, str, float], None]] = None,
+    on_failed: Optional[Callable[[int, int, str], None]] = None,
+    on_abandon: Optional[Callable[[int, Future], None]] = None,
 ) -> None:
-    """Process-pool execution with crash recovery (fills the outputs).
+    """Attempt every point until it resolves: the one execution loop.
 
-    Recovery semantics:
+    ``acquire(i)`` starts an attempt at point ``i`` and returns
+    ``(source, value)``: ``("cache", result)`` for a point-cache hit,
+    ``("dedup", future)`` to wait on an attempt someone else owns, or
+    ``("simulated", future)`` for a fresh attempt this loop owns. At
+    most ``capacity`` owned attempts are in flight (None: no bound), so
+    a pool is fed as it drains while a lease queue gets every point at
+    once. The outputs are filled in place, so a caller can finalize a
+    manifest from them on any exit path.
 
-    * an attempt raising an ordinary exception is retried with
-      exponential backoff until its ``retries`` budget runs out;
-    * a ``BrokenProcessPool`` (worker death kills the whole pool)
-      rebuilds the pool once per collapse; every in-flight point is
-      charged one attempt and rescheduled;
-    * a cancelled attempt (collateral of ``cancel_futures`` during a
-      rebuild) is rescheduled without charge — it never ran;
-    * with ``timeout`` set, an attempt running longer is abandoned (the
-      worker finishes in the background, its result discarded) and the
-      point rescheduled, charging one attempt.
+    * A failed attempt is retried after :func:`backoff_delay` until
+      ``retries`` is spent; then ``errors[i]`` records it.
+    * An attempt cancelled before it started (a rebuild's collateral,
+      an owner's cancel) is not charged and is rescheduled.
+    * With ``timeout``, an owned attempt older than it, counted from
+      submission, is cancelled if it never started (not charged) or
+      abandoned if it did (charged; the worker finishes in the
+      background and ``on_abandon`` is told).
+    * Followers of a warmup group (:func:`snapshot.warmup_groups`) are
+      held until their leader resolves, so one attempt simulates the
+      shared warmup and the followers restore it. A leader is never
+      held, and both of its terminal paths release its followers.
+    * Once ``interrupted()`` is true nothing is acquired or retried:
+      attempts already running are waited for and recorded, every
+      other point is left unresolved (skipped).
 
-    ``holds`` maps warmup-group leader index -> follower indices
-    (:func:`repro.engine.snapshot.warmup_groups`): followers stay out
-    of the ready queue until their leader terminally resolves (result
-    *or* exhausted retries), so exactly one worker simulates the shared
-    warmup and stores the snapshot the followers then restore. Safe
-    against deadlock because a leader always resolves: it is never held
-    itself, and both terminal paths release its followers.
-
-    Dispatch order comes from the shared policy engine
-    (:func:`repro.sched.policy.make_policy`): ready indices are pushed
-    into a :class:`PolicyQueue` and submitted in pop order. With the
-    default ``priority`` policy (all points priority 0) this is exactly
-    the historical FIFO index order, so results stay bit-identical; the
-    seam exists so local runs obey ``REPRO_SCHED_POLICY`` like every
-    other backend. Backoff delays live outside the policy queue (a
-    ``delayed`` list) — a policy orders *runnable* work, not timers.
+    ``on_done(i, source, result)`` runs before a leader's followers are
+    released; ``on_retry(i, attempt, error, delay)`` and
+    ``on_failed(i, attempt, error)`` report the charged failures.
     """
-    total = len(spec_list)
-    pool = ProcessPoolExecutor(max_workers=workers)
-    pending: Dict[Future, int] = {}
-    started: Dict[Future, float] = {}
-    owner: Dict[Future, ProcessPoolExecutor] = {}
-    holds = dict(holds or {})
+    holds = {
+        idxs[0]: idxs[1:] for idxs in snapshot.warmup_groups(specs).values()
+    }
     held = {i for followers in holds.values() for i in followers}
-    queue = make_policy(policy)
-    for i in range(total):
-        if i not in held:
-            queue.push(i, tenant=tenant)
+    ready = [i for i in range(len(specs)) if i not in held]  # a heap
     delayed: List[Tuple[float, int]] = []
-    done_count = 0
+    pending: Dict[Future, Tuple[int, str, float]] = {}
+    stopping = False
 
-    def release_followers(i: int) -> None:
+    def release(i: int) -> None:
         for j in holds.pop(i, ()):
-            queue.push(j, tenant=tenant)
+            heapq.heappush(ready, j)
 
-    def rebuild_if_current(broken: ProcessPoolExecutor) -> None:
-        nonlocal pool
-        if pool is not broken:
-            return  # a previous collapse already rebuilt it
-        log.warning(
-            "pool.rebuild", run=run_label or "-", workers=workers
-        )
-        pool = ProcessPoolExecutor(max_workers=workers)
-        broken.shutdown(wait=False, cancel_futures=True)
+    def succeed(i: int, source: str, result) -> None:
+        results[i] = result
+        on_done(i, source, result)
+        release(i)
 
-    def submit(i: int) -> None:
-        nonlocal pool
-        try:
-            fut = pool.submit(runner, spec_list[i])
-        except BrokenProcessPool:
-            rebuild_if_current(pool)
-            fut = pool.submit(runner, spec_list[i])
-        attempts[i] += 1
-        pending[fut] = i
-        started[fut] = time.monotonic()
-        owner[fut] = pool
-
-    def reschedule(i: int, error: str, charge: bool) -> None:
-        nonlocal done_count
+    def fail(i: int, error: str, charge: bool) -> None:
         if not charge:
             attempts[i] -= 1  # the attempt never ran
-            queue.push(i, tenant=tenant)
-            return
-        if attempts[i] > retries:
+            heapq.heappush(ready, i)
+        elif attempts[i] > retries:
             errors[i] = error
-            done_count += 1
-            release_followers(i)  # a dead leader must not strand its group
-            log.error(
-                "point.failed",
-                run=run_label or "-",
-                label=spec_list[i].label,
-                attempts=attempts[i],
-                error=error,
-            )
-            return
-        delay = backoff_delay(backoff, attempts[i])
-        log.warning(
-            "point.retry",
-            run=run_label or "-",
-            label=spec_list[i].label,
-            attempt=attempts[i],
-            backoff_s=delay,
-            error=error,
-        )
-        delayed.append((time.monotonic() + delay, i))
+            release(i)  # a dead leader must not strand its group
+            if on_failed is not None:
+                on_failed(i, attempts[i], error)
+        elif not stopping:
+            delay = backoff_delay(backoff, attempts[i])
+            if on_retry is not None:
+                on_retry(i, attempts[i], error, delay)
+            delayed.append((time.monotonic() + delay, i))
 
-    try:
-        while done_count < total:
-            now = time.monotonic()
-            for entry in sorted(delayed):
-                if entry[0] <= now:
-                    delayed.remove(entry)
-                    queue.push(entry[1], tenant=tenant)
-            while len(queue):
-                index = queue.pop()
-                if index is None:
-                    break
-                submit(index)
-            if not pending:
-                if delayed:
-                    next_due = min(nb for nb, _ in delayed)
-                    time.sleep(min(0.05, max(0.0, next_due - now)))
+    while True:
+        if not stopping and interrupted():
+            stopping = True
+            for fut, (i, source, _) in list(pending.items()):
+                if source == "simulated" and fut.cancel():
+                    attempts[i] -= 1
+                elif fut.running() or fut.done():
+                    continue  # already running: recorded when it ends
+                del pending[fut]
+        now = time.monotonic()
+        if not stopping:
+            for entry in [e for e in delayed if e[0] <= now]:
+                delayed.remove(entry)
+                heapq.heappush(ready, entry[1])
+            owned = sum(s == "simulated" for _, s, _ in pending.values())
+            while ready and (capacity is None or owned < capacity):
+                i = heapq.heappop(ready)
+                attempts[i] += 1
+                source, value = acquire(i)
+                if source == "cache":
+                    succeed(i, source, value)
                     continue
-                if holds:
-                    # Unreachable by construction (leaders always
-                    # resolve), but never strand held followers.
-                    for leader in list(holds):
-                        release_followers(leader)
-                    continue
+                pending[value] = (i, source, time.monotonic())
+                owned += source == "simulated"
+        if not pending:
+            if stopping:
+                break
+            if delayed:
+                next_due = min(due for due, _ in delayed)
+                time.sleep(min(0.05, max(0.0, next_due - now)))
+                continue
+            if not holds:
                 break  # every point resolved to a result or an error
-            done, _ = futures_wait(
-                list(pending), timeout=0.05, return_when=FIRST_COMPLETED
+            for leader in list(holds):  # unreachable; never strand
+                release(leader)
+            continue
+        done, _ = futures_wait(
+            list(pending), timeout=0.05, return_when=FIRST_COMPLETED
+        )
+        for fut in done:
+            i, source, _ = pending.pop(fut)
+            try:
+                result = fut.result()
+            except CancelledError:
+                fail(i, "cancelled before start", charge=False)
+            except Exception as exc:
+                fail(i, f"{type(exc).__name__}: {exc}", charge=True)
+            else:
+                succeed(i, source, result)
+        if timeout is None:
+            continue
+        now = time.monotonic()
+        for fut, (i, source, submitted) in list(pending.items()):
+            if source != "simulated" or now - submitted <= timeout:
+                continue
+            del pending[fut]
+            cancelled = fut.cancel()
+            if not cancelled and on_abandon is not None:
+                on_abandon(i, fut)
+            fail(
+                i,
+                f"TimeoutError: attempt exceeded {timeout}s"
+                + ("" if cancelled else " (worker abandoned)"),
+                charge=not cancelled,
             )
-            for fut in done:
-                i = pending.pop(fut)
-                started.pop(fut, None)
-                fut_pool = owner.pop(fut, None)
-                try:
-                    result = fut.result()
-                except CancelledError:
-                    reschedule(i, "cancelled", charge=False)
-                except BrokenProcessPool as exc:
-                    if fut_pool is not None:
-                        rebuild_if_current(fut_pool)
-                    reschedule(i, f"{type(exc).__name__}: {exc}", charge=True)
-                except Exception as exc:
-                    reschedule(i, f"{type(exc).__name__}: {exc}", charge=True)
-                else:
-                    results[i] = result
-                    done_count += 1
-                    release_followers(i)
-                    _emit_point_progress(
-                        log, run_label, done_count, total, result, t0
-                    )
-            if timeout is not None:
-                now = time.monotonic()
-                stragglers = [
-                    fut
-                    for fut, begun in started.items()
-                    if now - begun > timeout and fut in pending
-                ]
-                for fut in stragglers:
-                    i = pending.pop(fut)
-                    started.pop(fut, None)
-                    owner.pop(fut, None)
-                    cancelled = fut.cancel()
-                    reschedule(
-                        i,
-                        f"TimeoutError: attempt exceeded {timeout}s"
-                        + ("" if cancelled else " (worker abandoned)"),
-                        charge=not cancelled,
-                    )
-    finally:
-        pool.shutdown(wait=False, cancel_futures=True)
+
+
+def cached_result(spec: PointSpec, fp: str):
+    """The point cache's result for ``spec``, stamped as a hit, or None."""
+    if not pointcache.cache_enabled():
+        return None
+    cached = pointcache.load(fp, require_attrs=pointcache.RESULT_ATTRS)
+    if cached is None:
+        return None
+    return pointcache.mark_cache_hit(cached, spec.label)
+
+
+def store_result(fp: str, result) -> None:
+    """Write a fresh simulation into the point cache; only the process
+    that owns the run writes it. A failed store is only a lost entry."""
+    if not pointcache.cache_enabled():
+        return
+    try:
+        pointcache.store(fp, result)
+    except Exception as exc:
+        obs_events.get_event_log().warning(
+            "pointcache.store_failed", fingerprint=fp[:12],
+            error=f"{type(exc).__name__}: {exc}",
+        )
 
 
 def run_points(
     specs: Iterable[PointSpec],
     max_workers: Optional[int] = None,
     run_label: Optional[str] = None,
-    tenant: str = DEFAULT_TENANT,
-    policy: Optional[str] = None,
 ) -> List:
     """Simulate every spec; results come back in spec order.
 
-    ``max_workers`` (default: :func:`default_workers`) of 1 runs
-    serially in-process, which is the deterministic reference path —
+    ``max_workers`` (default: :func:`default_workers`) of 1 runs on one
+    in-process worker thread, the deterministic reference path;
     parallel runs produce bit-identical results because each point's
     RNGs are seeded from its spec alone. Failing points are retried
     (``REPRO_RETRIES`` / ``REPRO_RETRY_BACKOFF_S`` /
     ``REPRO_POINT_TIMEOUT_S``); a point that exhausts its budget raises
     :class:`PointFailure` after the manifest is finalized with
-    ``status: failed``.
-
-    ``run_label`` names the run in its manifest, event-log lines, and
-    run-directory id (figure modules pass their figure id). ``tenant``
-    is recorded in the manifest for provenance; ``policy`` selects the
-    dispatch order for the parallel path (default:
-    ``REPRO_SCHED_POLICY``, whose default preserves index order).
+    ``status: failed``. ``run_label`` names the run in its manifest,
+    event-log lines, and run-directory id (figure modules pass their
+    figure id).
     """
     spec_list = list(specs)
     if not spec_list:
@@ -797,7 +781,7 @@ def run_points(
     workers = max_workers if max_workers is not None else default_workers()
     workers = min(workers, len(spec_list))
     log = obs_events.get_event_log()
-    manifest, run_dir = start_manifest(run_label, workers, tenant=tenant)
+    manifest, run_dir = start_manifest(run_label, workers)
     t0 = time.perf_counter()
     log.info(
         "run.start",
@@ -806,22 +790,14 @@ def run_points(
         workers=workers,
         run_id=manifest.run_id if manifest else None,
     )
-    runner = partial(
-        run_cached_spec, run_dir=str(run_dir) if run_dir else None
-    )
+    run_dir_arg = str(run_dir) if run_dir else None
     total = len(spec_list)
     retries = retry_limit()
-    backoff = retry_backoff_s()
-    timeout = point_timeout_s()
+    fps = [pointcache.fingerprint(spec) for spec in spec_list]
     results: List = [None] * total
     attempts: List[int] = [0] * total
     errors: Dict[int, str] = {}
-    # Warmup-sharing groups (DESIGN.md §14). The serial path needs no
-    # gating: in-order execution runs each group's leader first.
-    holds: Dict[int, List[int]] = {}
-    if workers > 1:
-        for idxs in snapshot.warmup_groups(spec_list).values():
-            holds[idxs[0]] = idxs[1:]
+    done = 0
 
     def finalize(status: str) -> None:
         if manifest is not None and run_dir is not None:
@@ -836,23 +812,57 @@ def run_points(
                 attempts=attempts,
             )
 
+    def acquire(i: int) -> Tuple[str, object]:
+        cached = cached_result(spec_list[i], fps[i])
+        if cached is not None:
+            return "cache", cached
+        return "simulated", pool.submit(run_spec, spec_list[i], run_dir_arg)
+
+    def on_done(i: int, source: str, result) -> None:
+        nonlocal done
+        if source == "simulated":
+            store_result(fps[i], result)
+        done += 1
+        _emit_point_progress(log, run_label, done, total, result, t0)
+
+    def on_retry(i: int, attempt: int, error: str, delay: float) -> None:
+        log.warning(
+            "point.retry",
+            run=run_label or "-",
+            label=spec_list[i].label,
+            attempt=attempt,
+            backoff_s=delay,
+            error=error,
+        )
+
+    def on_failed(i: int, attempt: int, error: str) -> None:
+        log.error(
+            "point.failed",
+            run=run_label or "-",
+            label=spec_list[i].label,
+            attempts=attempt,
+            error=error,
+        )
+
+    pool = PointPool(workers)
     try:
-        if workers <= 1:
-            _run_serial(
-                spec_list, runner, log, run_label, t0,
-                retries, backoff, results, attempts, errors,
-            )
-        else:
-            _run_parallel(
-                spec_list, runner, workers, log, run_label, t0,
-                retries, backoff, timeout, results, attempts, errors,
-                holds=holds, policy=policy, tenant=tenant,
-            )
+        run_attempts(
+            spec_list, acquire, results, attempts, errors,
+            retries=retries,
+            backoff=retry_backoff_s(),
+            timeout=point_timeout_s(),
+            capacity=workers,
+            on_done=on_done,
+            on_retry=on_retry,
+            on_failed=on_failed,
+        )
     except BaseException:
         # Unexpected abort (KeyboardInterrupt, pool setup failure, ...):
         # still leave a finalized manifest behind, never an orphan dir.
         finalize("failed")
         raise
+    finally:
+        pool.shutdown()
     status = "failed" if errors else "done"
     finalize(status)
     wall = time.perf_counter() - t0
@@ -901,31 +911,18 @@ def run_tasks(
     workers = max_workers if max_workers is not None else default_workers()
     workers = min(workers, len(tasks))
     log = obs_events.get_event_log()
-    t0 = time.perf_counter()
     log.info(
         "tasks.start", run=run_label or "-", tasks=len(tasks), workers=workers
     )
-    if workers <= 1:
-        results = []
-        for i, args in enumerate(tasks):
-            results.append(fn(*args))
-            log.info(
-                "task.finish",
-                run=run_label or "-",
-                done=f"{i + 1}/{len(tasks)}",
-            )
-        return results
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = {
-            pool.submit(fn, *args): i for i, args in enumerate(tasks)
-        }
+    pool = PointPool(workers)
+    try:
+        futures = {pool.submit(fn, *args): i for i, args in enumerate(tasks)}
         ordered: List[T] = [None] * len(tasks)  # type: ignore[list-item]
-        done = 0
-        for future in as_completed(futures):
-            index = futures[future]
-            ordered[index] = future.result()
-            done += 1
+        for done, future in enumerate(as_completed(futures), 1):
+            ordered[futures[future]] = future.result()
             log.info(
                 "task.finish", run=run_label or "-", done=f"{done}/{len(tasks)}"
             )
         return ordered
+    finally:
+        pool.shutdown()

@@ -53,6 +53,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.engine import faults
+from repro.engine.provenance import HIT_PROVENANCE
 from repro.errors import ConfigError
 
 DEFAULT_CACHE_DIR = Path("results") / ".pointcache"
@@ -211,11 +212,8 @@ def mark_cache_hit(result: Any, label: str) -> Any:
     it; none of that belongs to this run, and nothing was restored.
     """
     result.label = label
-    result.from_cache = True
-    result.timeline_file = None
-    result.probe_file = None
-    result.worker_id = None
-    result.warm_restored = False
+    for name, value in HIT_PROVENANCE.items():
+        setattr(result, name, value)
     return result
 
 

@@ -163,20 +163,3 @@ def warmup_groups(specs: Sequence[Any]) -> Dict[str, List[int]]:
         groups.setdefault(warmup_fingerprint(spec), []).append(i)
     return {fp: idxs for fp, idxs in groups.items() if len(idxs) > 1}
 
-
-def leader_order(specs: Sequence[Any]) -> List[int]:
-    """Spec indices reordered so warmup-group leaders come first.
-
-    Used by schedulers that acquire points one at a time (the serve
-    scheduler's dedup loop): starting each group's leader before its
-    followers maximizes the chance the snapshot exists by the time a
-    follower simulates. Order within the leaders and within the
-    followers is the original spec order, so the reordering is
-    deterministic.
-    """
-    followers = set()
-    for idxs in warmup_groups(specs).values():
-        followers.update(idxs[1:])
-    order = [i for i in range(len(specs)) if i not in followers]
-    order.extend(i for i in range(len(specs)) if i in followers)
-    return order

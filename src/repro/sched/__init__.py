@@ -6,9 +6,8 @@ The scheduling-policy subsystem shared by every execution backend
 
 * **queuing policy** (:mod:`repro.sched.policy`) — a pluggable
   ``fifo | priority | wfq`` queue (``REPRO_SCHED_POLICY``). The serve
-  scheduler orders *jobs* with it, the cluster coordinator orders
-  *points* with it, and ``run_points`` dispatches local work through
-  it, so one policy engine drives ``local|cluster``.
+  scheduler orders *jobs* with it and the cluster coordinator orders
+  *points* with it, so one policy engine drives ``local|cluster``.
 * **tenancy** (:mod:`repro.sched.tenants`) — per-tenant weights,
   admission quotas, and rate limits parsed from ``REPRO_TENANTS``,
   plus the cardinality-guarded label helper that keeps per-tenant

@@ -1,10 +1,9 @@
 """Pluggable queuing policies: ``fifo | priority | wfq``.
 
-One :class:`PolicyQueue` implementation orders all deferred work in the
-system, whatever the granularity: the serve scheduler queues *jobs*,
-the cluster coordinator queues *points*, and the local
-``run_points`` dispatcher queues *spec indices*. ``REPRO_SCHED_POLICY``
-selects the engine everywhere (constructors also take it explicitly):
+One :class:`PolicyQueue` implementation orders the work tenants compete
+for, whatever the granularity: the serve scheduler queues *jobs* and
+the cluster coordinator queues *points*. ``REPRO_SCHED_POLICY`` selects
+the engine everywhere (constructors also take it explicitly):
 
 * ``fifo`` — strict arrival order, tenants and priorities ignored.
 * ``priority`` — higher ``priority`` first, FIFO within a priority.

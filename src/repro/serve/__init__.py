@@ -5,8 +5,8 @@ that accepts jobs — a named experiment grid like ``fig1`` or an
 explicit point list — schedules them by priority with bounded-queue
 admission control, dedups identical points across concurrently running
 jobs (keyed by the point cache's content fingerprint), executes them
-with the exact worker entry point ``run_points`` uses (bit-identical
-results, same run manifests), and serves results in the same JSON
+through the attempt loop ``run_points`` uses (bit-identical results,
+same run manifests), and serves results in the same JSON
 schema as ``python -m repro.experiments <fig> --json``.
 
 Layers:

@@ -23,26 +23,26 @@ lock:
   the cache without simulating at all.
 * the **job table** ``id -> Job`` for the API's lookups.
 
-Execution reuses the exact worker entry point of
-:func:`repro.engine.parallel.run_points` (``run_spec``), fanned out over
-a ``ProcessPoolExecutor`` (``REPRO_WORKERS`` > 1) or an in-process
-single thread (``REPRO_WORKERS=1``); either way a served point is
-bit-identical to a local run. Each job writes the usual run manifest
-via the helpers shared with ``run_points``.
+Execution is admission plus HTTP around the one execution core of
+:mod:`repro.engine.parallel`: each job thread drives
+:func:`~repro.engine.parallel.run_attempts`, the loop ``run_points``
+uses, over the shared :class:`~repro.engine.parallel.PointPool`
+(``REPRO_WORKERS`` > 1 processes, else one in-process thread) or, with
+the cluster backend, the coordinator's lease queue. Either way a served
+point is bit-identical to a local run, warmup-group followers wait for
+their leader's snapshot, and each job writes the usual run manifest via
+the helpers shared with ``run_points``.
 
 Cancellation: a queued job is dropped before it starts; a running job
-stops waiting at the next point boundary. Points already handed to the
-executor run to completion (their results still land in the point
-cache — they may be shared with other jobs), they are just no longer
-waited on.
+stops at the next point boundary: points already running finish and
+are recorded, the rest are skipped.
 
-Fault tolerance (DESIGN.md §9): a failed point attempt is retried with
-exponential backoff (``REPRO_RETRIES`` / ``REPRO_RETRY_BACKOFF_S``); a
-collapsed process pool is rebuilt (generation-counted, so racing job
-threads rebuild at most once per collapse) and its in-flight points
-retried; ``REPRO_POINT_TIMEOUT_S`` abandons straggler attempts. Every
-job exit path — done, failed, cancelled, daemon drain — finalizes the
-run manifest with a ``status``, so ``results/runs/`` never holds an
+Fault tolerance (DESIGN.md §9) is the loop's: failed attempts are
+retried with exponential backoff (``REPRO_RETRIES`` /
+``REPRO_RETRY_BACKOFF_S``), the pool is rebuilt once per collapse, and
+``REPRO_POINT_TIMEOUT_S`` abandons straggler attempts. Every job exit
+path — done, failed, cancelled, daemon drain — finalizes the run
+manifest with a ``status``, so ``results/runs/`` never holds an
 orphaned manifest-less directory. :meth:`JobScheduler.drain` (wired to
 SIGTERM by ``repro.serve.app``) stops dispatching and lets running jobs
 stop at the next point boundary with a ``partial`` manifest.
@@ -53,27 +53,23 @@ from __future__ import annotations
 import copy
 import threading
 import time
-from concurrent.futures import (
-    CancelledError,
-    Future,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-)
-from concurrent.futures import TimeoutError as FuturesTimeout
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import Future
 from typing import Dict, List, Optional, Tuple
 
-from repro.engine import pointcache, snapshot
+from repro.engine import pointcache
 from repro.errors import ConfigError
 from repro.engine.parallel import (
-    backoff_delay,
+    PointPool,
+    cached_result,
     default_workers,
     finish_manifest,
     point_timeout_s,
     retry_backoff_s,
     retry_limit,
+    run_attempts,
     run_spec,
     start_manifest,
+    store_result,
 )
 from repro.obs import events as obs_events
 from repro.obs.metrics import MetricsRegistry
@@ -182,8 +178,7 @@ class JobScheduler:
         self._draining = False
         self._dispatcher: Optional[threading.Thread] = None
         self._job_threads: List[threading.Thread] = []
-        self._executor = None
-        self._executor_gen = 0
+        self._pool: Optional[PointPool] = None
         self._log = obs_events.get_event_log()
         self._init_metrics()
 
@@ -246,19 +241,15 @@ class JobScheduler:
 
     # -- lifecycle ------------------------------------------------------
 
-    def _new_executor(self):
-        if self.workers > 1:
-            return ProcessPoolExecutor(max_workers=self.workers)
-        # Single-worker mode stays in-process: no pool spawn cost and
-        # injectable simulate callables (tests).
-        return ThreadPoolExecutor(max_workers=1)
-
     def start(self) -> None:
-        """Create the executor and dispatcher thread (idempotent)."""
+        """Create the pool and dispatcher thread (idempotent)."""
         with self._lock:
             if self._dispatcher is not None:
                 return
-            self._executor = self._new_executor()
+            if self.coordinator is None:
+                self._pool = PointPool(
+                    self.workers, on_rebuild=self.m_rebuilds.inc
+                )
             self._dispatcher = threading.Thread(
                 target=self._dispatch_loop, name="serve-dispatcher", daemon=True
             )
@@ -273,7 +264,7 @@ class JobScheduler:
             self._wake.notify_all()
             dispatcher = self._dispatcher
             threads = list(self._job_threads)
-            executor = self._executor
+            pool = self._pool
         if wait and dispatcher is not None:
             dispatcher.join(timeout=10)
         for thread in threads:
@@ -281,8 +272,8 @@ class JobScheduler:
                 thread.join(timeout=10)
         if self.coordinator is not None:
             self.coordinator.stop()
-        if executor is not None:
-            executor.shutdown(wait=False, cancel_futures=True)
+        if pool is not None:
+            pool.shutdown()
 
     def drain(self) -> None:
         """Stop launching jobs; running jobs stop at the next point
@@ -321,28 +312,6 @@ class JobScheduler:
                     timeout=0.5 if remaining is None else min(0.5, remaining)
                 )
         return True
-
-    def _maybe_rebuild(self, gen: int) -> None:
-        """Replace a collapsed executor (once per collapse).
-
-        ``gen`` is the generation the caller's future was submitted
-        under; if another job thread already rebuilt (generation moved
-        on) this is a no-op, so N threads observing the same
-        ``BrokenProcessPool`` trigger exactly one rebuild. All in-flight
-        futures belong to the dead pool at that point, so the dedup
-        table is cleared wholesale — attachers observe the broken
-        future and re-acquire against the new pool.
-        """
-        with self._lock:
-            if self._stopping or self._executor_gen != gen:
-                return
-            old = self._executor
-            self._executor = self._new_executor()
-            self._executor_gen += 1
-            self._inflight.clear()
-        self.m_rebuilds.inc()
-        self._log.warning("serve.pool.rebuild", workers=self.workers)
-        old.shutdown(wait=False, cancel_futures=True)
 
     # -- submission / lookup / cancel -----------------------------------
 
@@ -550,96 +519,46 @@ class JobScheduler:
     # -- per-job execution ----------------------------------------------
 
     def _acquire_point(
-        self, spec, run_dir: Optional[str], tenant: str = DEFAULT_TENANT
-    ) -> Tuple[str, Optional[object], Optional[Future], bool, int]:
-        """Resolve one spec to (source, result, future, owner, gen).
+        self, spec, fp: str, run_dir: Optional[str], tenant: str
+    ) -> Tuple[str, object]:
+        """One attempt at a point, as :func:`run_attempts` takes it.
 
-        Cache hit -> ("cache", result, None, False, gen); in-flight
-        identical simulation -> ("dedup", None, future, False, gen);
-        otherwise submit a fresh simulation -> ("simulated", None,
-        future, True, gen). ``gen`` is the executor generation the
-        future belongs to, for :meth:`_maybe_rebuild`.
-
-        With the cluster backend the fresh submission goes to the
-        coordinator's lease queue instead of the local executor; the
-        returned future resolves when a worker uploads the result (or
-        fails with :class:`repro.cluster.coordinator.LeaseExpired` when
-        the worker misses its heartbeat deadline — charged and retried
-        by the caller exactly like a local crash). Everything
-        downstream — dedup, retries, timeouts, manifests — is backend
-        agnostic.
+        A cache hit, else an attach to an identical in-flight attempt
+        (cross-job dedup), else a fresh submit: to the pool, or with
+        the cluster backend to the coordinator's lease queue, whose
+        future fails with :class:`repro.cluster.coordinator.LeaseExpired`
+        when the worker misses its heartbeat deadline (charged and
+        retried like a local crash).
         """
-        fp = pointcache.fingerprint(spec)
-        if pointcache.cache_enabled():
-            cached = pointcache.load(fp, require_attrs=pointcache.RESULT_ATTRS)
-            if cached is not None:
-                pointcache.mark_cache_hit(cached, spec.label)
-                return "cache", cached, None, False, self._executor_gen
+        cached = cached_result(spec, fp)
+        if cached is not None:
+            return "cache", cached
         with self._lock:
             future = self._inflight.get(fp)
             if future is not None:
-                return "dedup", None, future, False, self._executor_gen
+                return "dedup", future
             if self.coordinator is not None:
                 # Lock order scheduler -> coordinator; submit only
                 # enqueues (it never resolves futures), so this cannot
                 # re-enter the scheduler lock.
                 future = self.coordinator.submit(spec, run_dir, tenant=tenant)
             else:
-                try:
-                    future = self._executor.submit(
-                        self._simulate, spec, run_dir
-                    )
-                except BrokenProcessPool:
-                    # The pool died between two jobs' submissions:
-                    # rebuild inline (we already hold the lock) and
-                    # resubmit.
-                    old = self._executor
-                    self._executor = self._new_executor()
-                    self._executor_gen += 1
-                    self._inflight.clear()
-                    old.shutdown(wait=False, cancel_futures=True)
-                    future = self._executor.submit(
-                        self._simulate, spec, run_dir
-                    )
-            gen = self._executor_gen
+                future = self._pool.submit(self._simulate, spec, run_dir)
             self._inflight[fp] = future
-        future.add_done_callback(
-            lambda fut, fp=fp: self._point_finished(fp, fut)
-        )
-        return "simulated", None, future, True, gen
+        future.add_done_callback(lambda fut: self._retire(fp, fut))
+        return "simulated", future
 
-    def _point_finished(self, fp: str, future: Future) -> None:
-        """Executor callback: retire the in-flight entry, persist result."""
-        with self._lock:
-            # Identity check: an abandoned straggler completing late must
-            # not evict the retry's fresh future from the dedup table.
-            if self._inflight.get(fp) is future:
-                self._inflight.pop(fp)
-        if future.cancelled() or future.exception() is not None:
-            return
-        if pointcache.cache_enabled():
-            try:
-                pointcache.store(fp, future.result())
-            except Exception:
-                pass  # a failed store is only a lost cache entry
-
-    def _abandon_inflight(self, spec, future: Future) -> bool:
-        """Stop dedup-attaching to a straggler we gave up waiting on.
-
-        Returns True when the attempt never started (the cancel landed
-        while it was still queued) — such a timeout is the executor's
-        backlog, not the point's fault, and must not be charged.
-        """
-        cancelled = future.cancel()  # only succeeds if it never started
-        fp = pointcache.fingerprint(spec)
+    def _retire(self, fp: str, future: Future) -> None:
+        """Stop dedup-attaching to ``future``: it ended or was abandoned.
+        Identity-checked, so a straggler ending late cannot evict the
+        retry's fresh future from the dedup table."""
         with self._lock:
             if self._inflight.get(fp) is future:
-                self._inflight.pop(fp)
-        return cancelled
+                del self._inflight[fp]
 
     def _run_job(self, job: Job) -> None:
         t0 = time.perf_counter()
-        tenant = getattr(job.request, "tenant", DEFAULT_TENANT)
+        tenant = job.request.tenant
         manifest, run_dir = start_manifest(
             f"serve-{job.request.name}", self.workers, tenant=tenant
         )
@@ -647,13 +566,11 @@ class JobScheduler:
             job.run_id = manifest.run_id
         run_dir_arg = str(run_dir) if run_dir is not None else None
         specs = job.request.specs
+        fps = [pointcache.fingerprint(spec) for spec in specs]
         total = len(specs)
         results: List[Optional[object]] = [None] * total
         attempts: List[int] = [0] * total
         errors: Dict[int, str] = {}
-        retries = retry_limit()
-        backoff = retry_backoff_s()
-        timeout = point_timeout_s()
 
         def finalize(status: str) -> None:
             if manifest is not None and run_dir is not None:
@@ -668,103 +585,49 @@ class JobScheduler:
                     attempts=attempts,
                 )
 
-        def interrupted() -> bool:
-            return job.cancel_requested or self._draining
+        def on_done(i: int, source: str, result) -> None:
+            if source == "simulated":
+                store_result(fps[i], result)
+            elif source == "dedup":
+                # Shared with the owning job: take a private copy and
+                # stamp our label; we did not pay for the simulation.
+                results[i] = pointcache.mark_cache_hit(
+                    copy.copy(result), specs[i].label
+                )
+            self.m_points.labels(source=source).inc()
+            guarded_labels(self.m_tenant_points, tenant=tenant).inc()
+            job.point_done(specs[i].label, source, result.sim_seconds)
+
+        def on_retry(i: int, attempt: int, error: str, delay: float) -> None:
+            job.point_retry(specs[i].label, error, attempt)
+            self.m_retries.inc()
+            self._log.warning(
+                "serve.point.retry",
+                job=job.id,
+                label=specs[i].label,
+                attempt=attempt,
+                backoff_s=delay,
+                error=error,
+            )
 
         try:
-            # Acquire everything up front so identical points across the
-            # job dedup onto one simulation. Warmup-group leaders are
-            # acquired (and therefore submitted) first so the shared
-            # warm-state snapshot likely exists by the time a follower
-            # simulates — opportunistic, unlike run_points' hard gating:
-            # a follower that races its leader just warms up normally.
-            acquired: List[Optional[Tuple]] = [None] * total
-            for index in snapshot.leader_order(specs):
-                if interrupted():
-                    break
-                acquired[index] = self._acquire_point(
-                    specs[index], run_dir_arg, tenant
-                )
-                attempts[index] = 1
-            for index, spec in enumerate(specs):
-                # A point boundary is a recorded point, so the first
-                # acquired point is always awaited: an interruption that
-                # lands before this thread starts waiting on it must not
-                # skip a point that is already running.
-                if errors or (index and interrupted()):
-                    break
-                entry = acquired[index]
-                if entry is None:  # acquisition was interrupted
-                    break
-                source, result, future, owner, gen = entry
-                while True:
-                    if future is None:  # cache hit
-                        break
-                    charged = True
-                    error: Optional[str] = None
-                    try:
-                        if owner and timeout is not None:
-                            result = future.result(timeout=timeout)
-                        else:
-                            result = future.result()
-                    except FuturesTimeout:
-                        if self._abandon_inflight(spec, future):
-                            error = "cancelled before start (queued past timeout)"
-                            charged = False
-                        else:
-                            error = (
-                                f"TimeoutError: attempt exceeded {timeout}s"
-                            )
-                    except CancelledError:
-                        # Collateral of a pool rebuild's cancel_futures:
-                        # the attempt never ran, so it costs nothing.
-                        error = "cancelled before start"
-                        charged = False
-                    except BrokenProcessPool as exc:
-                        self._maybe_rebuild(gen)
-                        error = f"{type(exc).__name__}: {exc}"
-                    except Exception as exc:
-                        error = f"{type(exc).__name__}: {exc}"
-                    if error is None:
-                        if not owner:
-                            # Shared with the owning job: take a private
-                            # copy and stamp our label; we did not pay
-                            # for the simulation.
-                            result = pointcache.mark_cache_hit(
-                                copy.copy(result), spec.label
-                            )
-                        break
-                    if charged and attempts[index] > retries:
-                        errors[index] = error
-                        break
-                    if interrupted():
-                        break  # leave the point skipped, not retried
-                    if charged:
-                        delay = backoff_delay(backoff, attempts[index])
-                        job.point_retry(spec.label, error, attempts[index])
-                        self.m_retries.inc()
-                        self._log.warning(
-                            "serve.point.retry",
-                            job=job.id,
-                            label=spec.label,
-                            attempt=attempts[index],
-                            backoff_s=delay,
-                            error=error,
-                        )
-                        if delay:
-                            time.sleep(delay)
-                        attempts[index] += 1
-                    source, result, future, owner, gen = (
-                        self._acquire_point(spec, run_dir_arg, tenant)
-                    )
-                if index in errors or (result is None and future is not None):
-                    break  # permanent failure, or interrupted mid-wait
-                if result is None:
-                    break  # interrupted before a result materialized
-                results[index] = result
-                self.m_points.labels(source=source).inc()
-                guarded_labels(self.m_tenant_points, tenant=tenant).inc()
-                job.point_done(spec.label, source, result.sim_seconds)
+            run_attempts(
+                specs,
+                lambda i: self._acquire_point(
+                    specs[i], fps[i], run_dir_arg, tenant
+                ),
+                results, attempts, errors,
+                retries=retry_limit(),
+                backoff=retry_backoff_s(),
+                timeout=point_timeout_s(),
+                # The lease queue takes every point at once; a pool is
+                # fed as it drains.
+                capacity=None if self.coordinator is not None else self.workers,
+                interrupted=lambda: job.cancel_requested or self._draining,
+                on_done=on_done,
+                on_retry=on_retry,
+                on_abandon=lambda i, fut: self._retire(fps[i], fut),
+            )
         except BaseException:
             # Unexpected abort: still leave a finalized manifest behind
             # (the thread backstop records the error on the job).

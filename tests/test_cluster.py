@@ -705,6 +705,42 @@ class TestSchedulerBackends:
         assert "cluster_points_remote_total 2" in text
         assert 'serve_points_total{source="simulated"} 2' in text
 
+    def test_one_cache_write_per_cluster_point(self, tmp_path, monkeypatch):
+        """The daemon that owns the run reads and writes the point
+        cache; a worker running the real engine only simulates: one
+        store per simulated point, and no load on the worker's side."""
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "pointcache"))
+        monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
+        stores, loads = [], []
+        real_store, real_load = pointcache.store, pointcache.load
+
+        def store(fp, value):
+            stores.append(fp)
+            real_store(fp, value)
+
+        def load(fp, *args, **kwargs):
+            loads.append(threading.current_thread().name)
+            return real_load(fp, *args, **kwargs)
+
+        monkeypatch.setattr(pointcache, "store", store)
+        monkeypatch.setattr(pointcache, "load", load)
+        specs = [one_spec(1, "p1"), one_spec(2, "p2")]
+        s = JobScheduler(workers=1, backend="cluster")
+        job = s.submit(JobRequest("one-store", specs, SCALE))
+        s.start()
+        agent = WorkerAgent(LocalTransport(s.coordinator), capacity=1)
+        thread = threading.Thread(target=agent.run, daemon=True)
+        thread.start()
+        wait_terminal([job], timeout=120)
+        agent.drain()
+        thread.join(timeout=5)
+        s.stop()
+        assert job.state == "done" and job.simulated_points == 2
+        assert sorted(stores) == sorted(pointcache.fingerprint(p) for p in specs)
+        # One lookup per point, each on the daemon's job thread.
+        assert len(loads) == 2
+        assert all(name == f"serve-{job.id}" for name in loads)
+
     def test_lease_expiry_requeues_and_charges_attempt(self, monkeypatch):
         """The acceptance flow, in-process: a worker leases a point and
         goes silent; the lease expires, the scheduler charges an attempt

@@ -16,19 +16,18 @@ Four layers:
 
 from __future__ import annotations
 
-import time
-
 import pytest
 
 from repro.engine import faults, pointcache
 from repro.engine.parallel import (
     PointFailure,
-    _run_parallel,
+    PointPool,
     backoff_delay,
     last_run_dir,
     point_timeout_s,
     retry_backoff_s,
     retry_limit,
+    run_attempts,
     run_points,
 )
 from repro.errors import ConfigError
@@ -38,7 +37,6 @@ from repro.experiments.common import (
     kvs_workload,
     point_spec,
 )
-from repro.obs import events as obs_events
 from repro.obs.manifest import PointRecord, RunManifest, validate_manifest
 from repro.obs.validate import main as validate_main
 from repro.obs.validate import validate_run_dir
@@ -72,6 +70,20 @@ def fault_runner(spec):
     """Module-level (picklable) runner that only exercises the hooks."""
     faults.on_point_start(spec.label)
     return MiniResult(spec.label)
+
+
+def drive_pool(specs, results, attempts, errors, retries, timeout):
+    """``fault_runner`` on a 2-process pool through the attempt loop."""
+    pool = PointPool(2)
+    try:
+        run_attempts(
+            specs,
+            lambda i: ("simulated", pool.submit(fault_runner, specs[i])),
+            results, attempts, errors,
+            retries=retries, backoff=0.0, timeout=timeout, capacity=2,
+        )
+    finally:
+        pool.shutdown()
 
 
 @pytest.fixture(autouse=True)
@@ -290,15 +302,13 @@ class TestParallelRecovery:
         assert any(p.attempts > 1 for p in manifest.points)
 
     def test_straggler_timeout_reschedules(self, recovery_env, monkeypatch):
-        # Direct _run_parallel drive with a no-op runner: fast and exact.
+        # Direct run_attempts drive with a no-op runner: fast and exact.
         monkeypatch.setenv("REPRO_FAULT_SPEC", "slow_point@label=slow:3s")
         faults.reset()
         specs = [tiny_spec(label="slow", seed=1), tiny_spec(label="ok", seed=2)]
         results, attempts, errors = [None, None], [0, 0], {}
-        _run_parallel(
-            specs, fault_runner, 2, obs_events.get_event_log(), "t",
-            time.perf_counter(), retries=3, backoff=0.0, timeout=0.5,
-            results=results, attempts=attempts, errors=errors,
+        drive_pool(
+            specs, results, attempts, errors, retries=3, timeout=0.5
         )
         assert errors == {}
         assert [r.label for r in results] == ["slow", "ok"]
@@ -313,10 +323,8 @@ class TestParallelRecovery:
             tiny_spec(label="ok2", seed=3),
         ]
         results, attempts, errors = [None] * 3, [0] * 3, {}
-        _run_parallel(
-            specs, fault_runner, 2, obs_events.get_event_log(), "t",
-            time.perf_counter(), retries=2, backoff=0.0, timeout=None,
-            results=results, attempts=attempts, errors=errors,
+        drive_pool(
+            specs, results, attempts, errors, retries=2, timeout=None
         )
         assert errors == {}
         assert [r.label for r in results] == ["victim", "ok", "ok2"]

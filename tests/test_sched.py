@@ -13,25 +13,26 @@ Six layers:
   tenant, its limit, and current usage;
 * cluster grants — the coordinator leases points in WFQ
   virtual-finish-time order;
-* engine seam — ``run_points(policy=..., tenant=...)`` stays
-  bit-identical to the serial path and records the tenant in the run
-  manifest and ``timeline --list``.
+* engine seam — ``run_points`` on 2 workers stays bit-identical to the
+  serial path, and a served job records its tenant in the run manifest
+  and ``timeline --list``.
 """
 
 from __future__ import annotations
+
+import time
 
 import pytest
 
 from repro.cluster import protocol
 from repro.cluster.coordinator import ClusterCoordinator
-from repro.engine import pointcache
+from repro.engine import pointcache, result_identity
 from repro.engine.parallel import run_points
 from repro.errors import ConfigError
 from repro.experiments.common import (
     ExperimentSettings,
     kvs_system,
     kvs_workload,
-    point_row,
     point_spec,
 )
 from repro.obs.manifest import RunManifest, runs_dir
@@ -47,7 +48,7 @@ from repro.sched import (
     validate_tenant,
 )
 from repro.sched.tenants import OVERFLOW_TENANT
-from repro.serve.jobs import JobRequest, parse_job_request
+from repro.serve.jobs import TERMINAL_STATES, JobRequest, parse_job_request
 from repro.serve.scheduler import JobScheduler, QuotaExceeded, RateLimited
 
 SCALE = 0.05
@@ -382,29 +383,28 @@ class TestEngineSeam:
         monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
         specs = [one_spec(i, f"seam{i}") for i in range(4)]
         serial = run_points(specs, max_workers=1)
-        fair = run_points(
-            specs,
-            max_workers=2,
-            run_label="sched-seam",
-            tenant="alice",
-            policy="wfq",
-        )
-
-        def identity(result):
-            # sim_seconds is wall-clock and from_cache is provenance;
-            # both are asserted on their own terms below.
-            row = point_row(result, SCALE)
-            del row["sim_seconds"], row["from_cache"]
-            return row
-
-        assert [identity(r) for r in serial] == [identity(r) for r in fair]
-        # The serial run simulated into an empty cache; the WFQ run
+        parallel = run_points(specs, max_workers=2, run_label="sched-seam")
+        assert [result_identity(r) for r in serial] == [
+            result_identity(r) for r in parallel
+        ]
+        # The serial run simulated into an empty cache; the parallel run
         # then hit it for every point.
         assert all(r.from_cache is False for r in serial)
-        assert all(r.from_cache is True for r in fair)
-        run_dirs = sorted(runs_dir().glob("sched-seam-*"))
-        assert run_dirs, "run manifest missing"
-        manifest = RunManifest.load(run_dirs[-1] / "manifest.json")
+        assert all(r.from_cache is True for r in parallel)
+        # A served job records its submitting tenant in the manifest and
+        # in the run listing.
+        sched = JobScheduler(workers=1, registry=MetricsRegistry())
+        job = sched.submit(
+            JobRequest("sched-seam", specs, SCALE, tenant="alice")
+        )
+        sched.start()
+        deadline = time.monotonic() + 60
+        while job.state not in TERMINAL_STATES:
+            assert time.monotonic() < deadline, f"job stuck {job.state}"
+            time.sleep(0.01)
+        sched.stop()
+        assert job.state == "done"
+        manifest = RunManifest.load(runs_dir() / job.run_id / "manifest.json")
         assert manifest.tenant == "alice"
         listing = list_runs(runs_dir())
         assert "tenant=alice" in listing

@@ -14,10 +14,11 @@ import dataclasses
 import json
 import os
 import pickle
+import time
 
 import pytest
 
-from repro.engine import pointcache, snapshot
+from repro.engine import pointcache, result_identity, snapshot
 from repro.engine.parallel import (
     PointSpec,
     last_run_dir,
@@ -31,10 +32,12 @@ from repro.experiments.common import (
     ExperimentSettings,
     kvs_system,
     kvs_workload,
-    point_row,
     point_spec,
 )
 from repro.nic.arrivals import BurstProfile
+from repro.obs.manifest import runs_dir
+from repro.serve import JobScheduler
+from repro.serve.jobs import TERMINAL_STATES, JobRequest
 from repro.sidechannel.observer import ObserverConfig
 
 SCALE = 0.05
@@ -67,11 +70,9 @@ def cache_dir(tmp_path, monkeypatch):
 
 
 def strict_row(result):
-    """point_row minus the fields that legitimately vary run to run."""
-    row = point_row(result, SCALE)
-    row.pop("sim_seconds")
-    row.pop("from_cache")
-    return row
+    """Every simulated field, without the provenance that legitimately
+    varies run to run."""
+    return result_identity(result)
 
 
 def assert_bit_identical(a, b):
@@ -154,7 +155,7 @@ class TestWarmupFingerprint:
             assert variant.warmup_key() != base.warmup_key()
             assert variant.cache_key() != base.cache_key()
 
-    def test_leader_order_puts_group_leaders_first(
+    def test_warmup_groups_lead_with_first_index(
         self, cache_dir, monkeypatch
     ):
         specs = [
@@ -165,14 +166,12 @@ class TestWarmupFingerprint:
         ]
         groups = snapshot.warmup_groups(specs)
         assert list(groups.values()) == [[1, 2, 3]]
-        assert snapshot.leader_order(specs) == [0, 1, 2, 3]
-        # Reversed: the group leader (now index 0's "c") must move ahead
-        # of its followers while non-group specs keep their slots.
-        assert snapshot.leader_order(list(reversed(specs))) == [0, 3, 1, 2]
-        # Snapshots off -> no grouping -> original order.
+        # Reversed: the group's first index leads, the lone spec stays
+        # out of every group.
+        assert list(snapshot.warmup_groups(specs[::-1]).values()) == [[0, 1, 2]]
+        # Snapshots off -> no grouping.
         monkeypatch.setenv("REPRO_SNAPSHOTS", "0")
         assert snapshot.warmup_groups(specs) == {}
-        assert snapshot.leader_order(list(reversed(specs))) == [0, 1, 2, 3]
 
 
 @pytest.mark.parametrize("engine", ["object", "batch"])
@@ -230,7 +229,7 @@ class TestBitIdentity:
 
 
 class TestParallelRestores:
-    def test_workers_share_one_warmup(self, cache_dir, monkeypatch):
+    def test_workers_share_one_warmup(self, cache_dir, monkeypatch, tmp_path):
         specs = [
             sweep_spec(f"ways {w}", measure_ways=w) for w in (2, 3, 4)
         ]
@@ -250,6 +249,25 @@ class TestParallelRestores:
         assert len(wfps) == 1 and None not in wfps
         for fresh, restored_result in zip(baseline, results):
             assert_bit_identical(fresh, restored_result)
+        # The daemon gates followers the same way (fresh cache, so
+        # every point simulates and no snapshot exists yet).
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "served"))
+        scheduler = JobScheduler(workers=2)
+        job = scheduler.submit(JobRequest("warm", specs, SCALE))
+        scheduler.start()
+        deadline = time.monotonic() + 120
+        while job.state not in TERMINAL_STATES:
+            assert time.monotonic() < deadline, f"job stuck {job.state}"
+            time.sleep(0.01)
+        scheduler.stop()
+        assert job.state == "done", job.error
+        manifest = json.loads(
+            (runs_dir() / job.run_id / "manifest.json").read_text()
+        )
+        restored = [p["warm_restored"] for p in manifest["points"]]
+        assert restored == [False, True, True]
+        for fresh, served in zip(baseline, job.results):
+            assert_bit_identical(fresh, served)
 
 
 class TestObserverCarveOut:
