@@ -13,8 +13,11 @@ import json
 import os
 import time
 
+import pytest
+
 from repro.cache.hierarchy import AccessLevel, CacheHierarchy
 from repro.cache.set_assoc import SetAssociativeCache
+from repro.engine import native
 from repro.engine.batch import BatchHierarchy
 from repro.experiments.common import (
     ExperimentSettings,
@@ -24,6 +27,7 @@ from repro.experiments.common import (
 )
 from repro.engine.parallel import run_spec
 from repro.engine.tracer import TraceSimulator
+from repro.errors import ConfigError
 from repro.mem.layout import RegionKind
 from repro.params import CacheParams, SystemConfig
 
@@ -149,11 +153,15 @@ def test_batch_engine_speedup(results_dir):
     """Object vs batch engine on the reference point -> BENCH_pr6.json.
 
     The committed JSON is the PR's perf receipt: per-engine wall time,
-    the measured speedup, the batch backend in use, and per-op rates for
-    the batched hierarchy entry points. Asserted thresholds are again
-    catastrophic-regression guards only; the real numbers live in the
-    artifact.
+    the measured speedup, and per-op rates for the batched hierarchy
+    entry points. Asserted thresholds are again catastrophic-regression
+    guards only; the real numbers live in the artifact. Without a C
+    compiler there is no batch engine to measure, so the test skips.
     """
+    try:
+        native.load_kernel()
+    except ConfigError as exc:
+        pytest.skip(f"batch kernel unavailable: {exc}")
     # batched hierarchy ops/sec (the vectorized seam the engine adds)
     batch_hier = BatchHierarchy(SystemConfig().scaled(0.1))
     blocks = 4 * batch_hier.llc.params.num_blocks
@@ -178,7 +186,6 @@ def test_batch_engine_speedup(results_dir):
     payload = {
         "benchmark": "hotpath_micro/engine",
         "point": "kvs_system(0.1, 1024, 2, 1024) @ scale 0.1",
-        "backend": batch_hier.backend,
         "object_seconds": round(obj.sim_seconds, 4),
         "batch_seconds": round(bat.sim_seconds, 4),
         "speedup": round(speedup, 2),
@@ -193,13 +200,11 @@ def test_batch_engine_speedup(results_dir):
     lines.append(f"  {'object (s)':28s} {obj.sim_seconds:>14.3f}")
     lines.append(f"  {'batch (s)':28s} {bat.sim_seconds:>14.3f}")
     lines.append(f"  {'speedup':28s} {speedup:>14.2f}x")
-    lines.append(f"  {'backend':28s} {batch_hier.backend:>14s}")
     emit(results_dir, "hotpath_engine", "\n".join(lines))
 
-    if batch_hier.backend == "native":
-        # ISSUE target is >=5x; the guard is looser so slow shared CI
-        # machines don't flap, while a real regression still fails.
-        assert speedup > 2.0
+    # The target is >=5x; the guard is looser so slow shared CI
+    # machines don't flap, while a real regression still fails.
+    assert speedup > 2.0
 
 
 def test_policy_zoo_bench(results_dir, monkeypatch):

@@ -53,9 +53,7 @@ class CacheHierarchy:
     """Private L1/L2 per core plus one shared victim LLC."""
 
     #: cache implementation hook: the batch engine's hierarchy swaps in
-    #: the struct-of-arrays cache while inheriting every cascade rule
-    #: here unchanged, which is what makes the two engines equivalent by
-    #: construction on the non-accelerated paths.
+    #: the struct-of-arrays cache, whose state only its C kernel mutates.
     CACHE_CLS = SetAssociativeCache
 
     def __init__(
@@ -358,21 +356,25 @@ class CacheHierarchy:
     # prime+probe tenant (repro.sidechannel.observer)
     # ------------------------------------------------------------------
 
+    def llc_prime(self, blocks: Sequence[int], ways: Sequence[int]) -> None:
+        """Insert ``blocks`` into the LLC clean, in order, confined to
+        ``ways``. A line a prime evicts is discarded: no writeback and
+        no private-cache back-invalidation (DESIGN.md §12)."""
+        insert = self.llc.insert
+        kind = int(RegionKind.APP)
+        for block in blocks:
+            insert(block, False, kind, ways, True)
+
     def llc_probe(self, blocks: Sequence[int], ways: Sequence[int]) -> List[int]:
         """Probe ``blocks`` in the LLC, then re-prime the missed ones.
 
         Every block is probed with ``llc.access`` first; the missed
-        blocks are then re-inserted clean, in order, confined to
-        ``ways``. A line a re-prime evicts is discarded: no writeback
-        and no private-cache back-invalidation (DESIGN.md §12).
-        Returns the missed blocks in probe order.
+        blocks are then re-primed with :meth:`llc_prime`. Returns the
+        missed blocks in probe order.
         """
         llc_access = self.llc.access
         missed = [block for block in blocks if not llc_access(block)]
-        insert = self.llc.insert
-        kind = int(RegionKind.APP)
-        for block in missed:
-            insert(block, False, kind, ways, True)
+        self.llc_prime(missed, ways)
         return missed
 
     # ------------------------------------------------------------------

@@ -1,8 +1,8 @@
-"""Struct-of-arrays cache state shared by the batch engine's backends.
+"""Struct-of-arrays cache state for the batch engine.
 
-:class:`SoaCache` is a drop-in replacement for
-:class:`~repro.cache.set_assoc.SetAssociativeCache` whose entire mutable
-state lives in preallocated numpy arrays instead of per-set dicts:
+:class:`SoaCache` holds the state of one
+:class:`~repro.cache.set_assoc.SetAssociativeCache` in preallocated
+numpy arrays instead of per-set dicts:
 
 * ``tags``  — int64[num_sets * ways], block address or -1 when invalid;
 * ``dirty`` / ``kind`` — uint8 per slot;
@@ -12,12 +12,13 @@ state lives in preallocated numpy arrays instead of per-set dicts:
 * ``tick`` / ``lcg`` — int64[1] scalars for the recency clock and the
   random-replacement LCG.
 
-Because every byte of state is a flat C-layout array, the native batch
-kernel (:mod:`repro.engine.batchcore`, compiled from ``batchcore.c``)
-can mutate it directly through ctypes pointers, while the pure-Python
-methods here operate on the *same* arrays — the two backends are
-interchangeable mid-simulation and bit-identical by construction of
-their shared state.
+Because every byte of state is a flat C-layout array, the batch
+engine's C kernel (``repro/engine/batchcore.c``, loaded by
+:mod:`repro.engine.native`) mutates it directly through ctypes
+pointers. The kernel is the only writer: this module defines the
+layout, the read-only queries (occupancy, residency, metrics) and the
+stats and traffic views. The dict-based ``SetAssociativeCache`` is the
+oracle the kernel is held to.
 
 LRU-equivalence contract
 ------------------------
@@ -39,7 +40,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.cache.set_assoc import EvictedLine
 from repro.cache.stats import CacheStats
 from repro.errors import ConfigError
 from repro.mem.layout import RegionKind
@@ -55,8 +55,7 @@ STAT_FIELDS: Tuple[str, ...] = tuple(
 class SoaCacheStats:
     """Array-backed view with the :class:`CacheStats` interface.
 
-    The hot paths (Python or native) bump cells of the underlying int64
-    array; the dataclass-compatible surface (field attributes,
+    The kernel bumps cells of the underlying int64 array; the dataclass-compatible surface (field attributes,
     ``as_dict``, ``reset``, rate properties) is what the observability
     layer and ``stats_totals`` consume.
     """
@@ -169,12 +168,11 @@ def array_traffic_counter() -> Tuple[TrafficCounter, np.ndarray]:
 
 
 class SoaCache:
-    """Set-associative cache on struct-of-arrays state (LRU or random).
+    """Set-associative cache state on struct-of-arrays (LRU or random).
 
-    Matches :class:`SetAssociativeCache` operation for operation; see the
-    module docstring for the recency-stamp equivalence argument. The
-    scalar methods here are the readable specification of (and fallback
-    for) the native kernel.
+    Answers the same queries as :class:`SetAssociativeCache`; its
+    state is written only by the batch kernel (see the module docstring
+    for the recency-stamp equivalence argument).
     """
 
     def __init__(
@@ -195,14 +193,6 @@ class SoaCache:
         self.lcg[0] = (seed * 2654435761) & 0xFFFFFFFF or 1
         self.stats_array = np.zeros(len(STAT_FIELDS), dtype=np.int64)
         self.stats = SoaCacheStats(self.stats_array)
-        if self._random_replacement:
-            self.access = self._access_random
-            self.access_kind = self._access_kind_random
-            self.insert = self._insert_random
-        else:
-            self.access = self._access_lru
-            self.access_kind = self._access_kind_lru
-            self.insert = self._insert_lru
 
     # ------------------------------------------------------------------
     # queries
@@ -285,250 +275,3 @@ class SoaCache:
             hit_rate.labels(cache=cache.name).set(stats.hit_rate)
 
         registry.register_collector(collect)
-
-    # ------------------------------------------------------------------
-    # probes (``access`` is bound per replacement policy in __init__)
-    # ------------------------------------------------------------------
-
-    def _access_lru(self, block: int, write: bool = False) -> bool:
-        slot = self._slot_of(block)
-        if slot < 0:
-            self.stats_array[1] += 1
-            return False
-        self.stamp[slot] = self.tick[0]
-        self.tick[0] += 1
-        self.stats_array[0] += 1
-        if write:
-            self.dirty[slot] = 1
-        return True
-
-    def _access_random(self, block: int, write: bool = False) -> bool:
-        slot = self._slot_of(block)
-        if slot < 0:
-            self.stats_array[1] += 1
-            return False
-        self.stats_array[0] += 1
-        if write:
-            self.dirty[slot] = 1
-        return True
-
-    def _access_kind_lru(self, block: int, write: bool = False) -> Optional[int]:
-        slot = self._slot_of(block)
-        if slot < 0:
-            self.stats_array[1] += 1
-            return None
-        self.stamp[slot] = self.tick[0]
-        self.tick[0] += 1
-        self.stats_array[0] += 1
-        if write:
-            self.dirty[slot] = 1
-        return int(self.kind[slot])
-
-    def _access_kind_random(
-        self, block: int, write: bool = False
-    ) -> Optional[int]:
-        slot = self._slot_of(block)
-        if slot < 0:
-            self.stats_array[1] += 1
-            return None
-        self.stats_array[0] += 1
-        if write:
-            self.dirty[slot] = 1
-        return int(self.kind[slot])
-
-    def access_run(self, start: int, n: int, write: bool = False) -> List[int]:
-        """Probe ``n`` consecutive blocks; returns the missed ones.
-
-        When the run touches each set at most once (``n <= num_sets``,
-        which divisibility of the hierarchy's set counts guarantees for
-        packet runs), the tag match is one batched numpy gather/compare
-        over the run's sets; otherwise it falls back to scalar probes.
-        """
-        if n > self.num_sets:
-            missed = []
-            access = self.access
-            for block in range(start, start + n):
-                if not access(block, write=write):
-                    missed.append(block)
-            return missed
-        blocks = np.arange(start, start + n, dtype=np.int64)
-        sets = blocks % self.num_sets
-        rows = self.tags.reshape(self.num_sets, self.ways)[sets]
-        match = rows == blocks[:, None]
-        hit_mask = match.any(axis=1)
-        hit_rows = np.nonzero(hit_mask)[0]
-        n_hits = len(hit_rows)
-        if n_hits:
-            ways_hit = match[hit_rows].argmax(axis=1)
-            slots = sets[hit_rows] * self.ways + ways_hit
-            if not self._random_replacement:
-                tick = int(self.tick[0])
-                self.stamp[slots] = np.arange(
-                    tick, tick + n_hits, dtype=np.int64
-                )
-                self.tick[0] = tick + n_hits
-            if write:
-                self.dirty[slots] = 1
-        self.stats_array[0] += n_hits
-        self.stats_array[1] += n - n_hits
-        return blocks[~hit_mask].tolist()
-
-    # ------------------------------------------------------------------
-    # fills (``insert`` is bound per replacement policy in __init__)
-    # ------------------------------------------------------------------
-
-    def _install(
-        self, block: int, victim_slot: int, dirty: bool, kind: int
-    ) -> Optional[EvictedLine]:
-        """Shared insert epilogue: evict the victim, install the block."""
-        evicted: Optional[EvictedLine] = None
-        old_tag = int(self.tags[victim_slot])
-        if old_tag != -1:
-            old_dirty = int(self.dirty[victim_slot])
-            evicted = EvictedLine(
-                old_tag, bool(old_dirty), int(self.kind[victim_slot])
-            )
-            if old_dirty:
-                self.stats_array[4] += 1
-            else:
-                self.stats_array[3] += 1
-        self.tags[victim_slot] = block
-        self.dirty[victim_slot] = 1 if dirty else 0
-        self.kind[victim_slot] = kind
-        if not self._random_replacement:
-            self.stamp[victim_slot] = self.tick[0]
-            self.tick[0] += 1
-        self.stats_array[2] += 1
-        return evicted
-
-    def _insert_lru(
-        self,
-        block: int,
-        dirty: bool,
-        kind: int,
-        way_mask: Optional[Sequence[int]] = None,
-        prefer_invalid: bool = True,
-    ) -> Optional[EvictedLine]:
-        slot = self._slot_of(block)
-        if slot >= 0:
-            self.stamp[slot] = self.tick[0]
-            self.tick[0] += 1
-            if dirty:
-                self.dirty[slot] = 1
-            self.kind[slot] = kind
-            return None
-        base = (block % self.num_sets) * self.ways
-        victim_slot = -1
-        if way_mask is None:
-            # First invalid way in way order, else minimum-stamp way.
-            best = -1
-            best_stamp = 0
-            for slot in range(base, base + self.ways):
-                if self.tags[slot] == -1:
-                    victim_slot = slot
-                    break
-                stamp = int(self.stamp[slot])
-                if best < 0 or stamp < best_stamp:
-                    best, best_stamp = slot, stamp
-            if victim_slot < 0:
-                victim_slot = best
-        else:
-            best = -1
-            best_stamp = 0
-            for way in way_mask:
-                slot = base + way
-                if self.tags[slot] == -1:
-                    victim_slot = slot
-                    break
-                stamp = int(self.stamp[slot])
-                if best < 0 or stamp < best_stamp:
-                    best, best_stamp = slot, stamp
-            if victim_slot < 0:
-                victim_slot = best
-        if victim_slot < 0:
-            raise ConfigError(f"{self.name}: empty way mask for insert")
-        return self._install(block, victim_slot, dirty, kind)
-
-    def _insert_random(
-        self,
-        block: int,
-        dirty: bool,
-        kind: int,
-        way_mask: Optional[Sequence[int]] = None,
-        prefer_invalid: bool = True,
-    ) -> Optional[EvictedLine]:
-        slot = self._slot_of(block)
-        if slot >= 0:
-            if dirty:
-                self.dirty[slot] = 1
-            self.kind[slot] = kind
-            return None
-        base = (block % self.num_sets) * self.ways
-        victim_slot = -1
-        if prefer_invalid:
-            if way_mask is None:
-                for slot in range(base, base + self.ways):
-                    if self.tags[slot] == -1:
-                        victim_slot = slot
-                        break
-            else:
-                for way in way_mask:
-                    if self.tags[base + way] == -1:
-                        victim_slot = base + way
-                        break
-        if victim_slot < 0:
-            lcg = (int(self.lcg[0]) * 1103515245 + 12345) & 0xFFFFFFFF
-            self.lcg[0] = lcg
-            if way_mask is None:
-                victim_slot = base + (lcg >> 16) % self.ways
-            else:
-                if not way_mask:
-                    raise ConfigError(
-                        f"{self.name}: empty way mask for insert"
-                    )
-                victim_slot = base + way_mask[(lcg >> 16) % len(way_mask)]
-        return self._install(block, victim_slot, dirty, kind)
-
-    # ------------------------------------------------------------------
-    # invalidation
-    # ------------------------------------------------------------------
-
-    def remove(self, block: int) -> Optional[Tuple[bool, int]]:
-        slot = self._slot_of(block)
-        if slot < 0:
-            return None
-        dirty = bool(self.dirty[slot])
-        kind = int(self.kind[slot])
-        self.tags[slot] = -1
-        self.dirty[slot] = 0
-        self.stamp[slot] = -1
-        self.stats_array[5] += 1
-        return dirty, kind
-
-    def sweep(self, block: int) -> bool:
-        removed = self.remove(block)
-        if removed is None:
-            return False
-        self.stats_array[6] += 1
-        return True
-
-    def sweep_run(self, blocks: Sequence[int]) -> int:
-        dropped = 0
-        for block in blocks:
-            slot = self._slot_of(block)
-            if slot < 0:
-                continue
-            self.tags[slot] = -1
-            self.dirty[slot] = 0
-            self.stamp[slot] = -1
-            dropped += 1
-        self.stats_array[5] += dropped
-        self.stats_array[6] += dropped
-        return dropped
-
-    def clear(self) -> None:
-        # In place: the native kernel holds pointers to these arrays.
-        self.tags[:] = -1
-        self.dirty[:] = 0
-        self.kind[:] = 0
-        self.stamp[:] = -1

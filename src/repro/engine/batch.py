@@ -6,25 +6,23 @@
 * ``object`` (default) — the original dict-based
   :class:`~repro.cache.hierarchy.CacheHierarchy`; the semantic oracle.
 * ``batch`` — :class:`BatchHierarchy` below: per-set tag/dirty/kind/LRU
-  state in preallocated numpy arrays (:mod:`repro.cache.soa`), with the
-  whole per-request access cascade (ring refills, packet reads, workload
-  runs, TX writes, sweeps, observer probe sweeps) resolved by the
-  compiled ``batchcore.c`` kernel in a handful of batched calls instead
-  of ~100 per-block dict probes. With the kernel loaded,
-  :meth:`BatchHierarchy.run_request_loop` also services whole segments
-  of requests in one ``bc_run_requests`` call; the trace simulator
-  decides when that is allowed (DESIGN.md §11, "Fused request loop").
-  Without a C compiler the same arrays are driven by the
-  pure-Python/numpy methods of :class:`~repro.cache.soa.SoaCache`
-  (``REPRO_BATCH_BACKEND`` pins a backend explicitly).
+  state in preallocated numpy arrays (:mod:`repro.cache.soa`), mutated
+  only by the compiled ``batchcore.c`` kernel. Every hierarchy entry
+  point (CPU accesses, ring refills, packet reads, TX writes, sweeps,
+  observer primes and probe sweeps) is one kernel call, and
+  :meth:`BatchHierarchy.run_request_loop` services whole segments of
+  requests in one ``bc_run_requests`` call; the trace simulator decides
+  when that is allowed (DESIGN.md §11, "Fused request loop").
 
-Both engines are bit-identical by contract: ``BatchHierarchy`` inherits
-every cascade rule from ``CacheHierarchy`` (only the cache storage and
-the hot batched entry points differ), and the equivalence suite holds
-``TraceResult`` equal field-for-field across every figure harness.
-Because results are identical, the engine deliberately does **not**
-participate in the point-cache fingerprint — cached points are shared
-across engines.
+Without a C compiler the kernel cannot load, and :func:`build_hierarchy`
+runs the object engine instead: it logs one ``engine.fallback`` event,
+and the simulator reports ``"object"`` as its engine.
+
+Both engines are bit-identical by contract, and the equivalence suite
+holds ``TraceResult`` equal field-for-field across every figure
+harness. Because results are identical, the engine deliberately does
+**not** participate in the point-cache fingerprint — cached points are
+shared across engines.
 """
 
 from __future__ import annotations
@@ -40,6 +38,7 @@ from repro.cache.soa import ArrayCounts, SoaCache, array_traffic_counter
 from repro.engine import native
 from repro.errors import ConfigError
 from repro.mem.layout import RegionKind
+from repro.obs import events as obs_events
 from repro.params import SystemConfig
 from repro.traffic import TrafficCounter
 
@@ -48,20 +47,6 @@ ENGINES = ("object", "batch")
 
 #: C return level -> AccessLevel member (index 0 unused).
 _LEVELS = (None, AccessLevel.L1, AccessLevel.L2, AccessLevel.LLC, AccessLevel.MEM)
-
-#: entry points rebound to ``_<name>_native`` when the kernel loads
-_NATIVE_METHODS = (
-    "cpu_access",
-    "cpu_access_run",
-    "cpu_access_batch",
-    "nic_llc_write_run",
-    "nic_probe_read_run",
-    "sweep_run",
-    "invalidate_block",
-    "dma_rx_write_run",
-    "dma_tx_read_run",
-    "llc_probe",
-)
 
 
 def engine_from_env() -> str:
@@ -86,38 +71,50 @@ def resolve_engine(engine: Optional[str] = None) -> str:
 
 
 def build_hierarchy(system: SystemConfig, engine: str) -> CacheHierarchy:
-    """The hierarchy implementation behind the ``REPRO_ENGINE`` seam."""
+    """The hierarchy implementation behind the ``REPRO_ENGINE`` seam.
+
+    ``"batch"`` falls back to the object engine, with one
+    ``engine.fallback`` warning event, when the kernel cannot load.
+    """
     if engine == "batch":
-        return BatchHierarchy(system)
+        try:
+            native.load_kernel()
+        except ConfigError as exc:
+            obs_events.get_event_log().warning(
+                "engine.fallback",
+                requested="batch",
+                engine="object",
+                error=str(exc),
+            )
+        else:
+            return BatchHierarchy(system)
     return CacheHierarchy(system)
 
 
-def _run_bounds(blocks) -> Optional[Tuple[int, int]]:
-    """(start, n) when ``blocks`` is a contiguous ascending run."""
-    if isinstance(blocks, range):
-        if blocks.step == 1:
-            return blocks.start, len(blocks)
-        return None
+def _runs(blocks: Sequence[int]) -> Sequence[Tuple[int, int]]:
+    """``blocks`` as (start, n) kernel runs, in order: one run when they
+    are contiguous and ascending, else one single-block run each (the
+    object engine's run methods are in-order per-block loops, so both
+    are bit-identical)."""
+    if isinstance(blocks, range) and blocks.step == 1:
+        return ((blocks.start, len(blocks)),) if blocks else ()
     n = len(blocks)
-    if n == 0:
-        return None
-    first = blocks[0]
-    if blocks[-1] - first != n - 1:
-        return None
-    for i, block in enumerate(blocks):
-        if block != first + i:
-            return None
-    return first, n
+    if n:
+        first = blocks[0]
+        if blocks[-1] - first == n - 1 and all(
+            block == first + i for i, block in enumerate(blocks)
+        ):
+            return ((first, n),)
+    return [(block, 1) for block in blocks]
 
 
 class BatchHierarchy(CacheHierarchy):
-    """CacheHierarchy on struct-of-arrays caches with a native hot path.
+    """CacheHierarchy on struct-of-arrays caches, mutated by the kernel.
 
-    The slow paths (scalar probes, introspection, metrics) are the
-    inherited ``CacheHierarchy`` methods running over
-    :class:`~repro.cache.soa.SoaCache`; when the native kernel is
-    available the batched entry points are rebound to single C calls
-    that mutate the same arrays.
+    Every entry point that changes cache state is one C call on the
+    shared arrays; the inherited ``CacheHierarchy`` methods left are the
+    read-only ones (introspection, metrics, stats). Constructing one
+    raises :class:`ConfigError` when the kernel cannot load.
     """
 
     CACHE_CLS = SoaCache
@@ -128,6 +125,7 @@ class BatchHierarchy(CacheHierarchy):
         traffic: Optional[TrafficCounter] = None,
         victim_fill_clean: bool = False,
     ) -> None:
+        self._kernel = native.load_kernel()
         if traffic is None:
             traffic, self._traffic_array = array_traffic_counter()
         elif isinstance(traffic.counts, ArrayCounts):
@@ -140,11 +138,7 @@ class BatchHierarchy(CacheHierarchy):
         super().__init__(
             config, traffic=traffic, victim_fill_clean=victim_fill_clean
         )
-        self._kernel = native.load_kernel()
-        self.backend = "native" if self._kernel is not None else "python"
-        if self._kernel is not None:
-            self._build_native_context()
-            self._bind_native()
+        self._build_native_context()
 
     # ------------------------------------------------------------------
     # native context plumbing
@@ -227,32 +221,20 @@ class BatchHierarchy(CacheHierarchy):
 
     def set_ddio_way_mask(self, ways: Sequence[int]) -> None:
         super().set_ddio_way_mask(ways)
-        if self._kernel is not None:
-            self._sync_ddio_mask()
+        self._sync_ddio_mask()
 
     def set_core_fill_mask(
         self, core: int, ways: Optional[Sequence[int]]
     ) -> None:
         super().set_core_fill_mask(core, ways)
-        if self._kernel is not None:
-            self._sync_core_mask(core)
-
-    def _bind_native(self) -> None:
-        """Shadow the batched entry points with single C calls."""
-        for name in _NATIVE_METHODS:
-            setattr(self, name, getattr(self, f"_{name}_native"))
+        self._sync_core_mask(core)
 
     def native_intact(self) -> bool:
-        """True while every entry point ``_bind_native`` bound is still
-        the native method, i.e. nothing wrapped one on the instance."""
-        if self._kernel is None:
-            return False
-        cls, bound = type(self), self.__dict__
-        return all(
-            getattr(bound.get(name), "__func__", None)
-            is getattr(cls, f"_{name}_native")
-            for name in _NATIVE_METHODS
-        )
+        """True while no instance attribute shadows a method (per-layer
+        tracing wraps entry points on the instance, and the fused loop
+        would bypass such a wrapper)."""
+        cls = type(self)
+        return not any(callable(getattr(cls, name, None)) for name in vars(self))
 
     def run_request_loop(
         self,
@@ -277,10 +259,10 @@ class BatchHierarchy(CacheHierarchy):
         )
 
     # ------------------------------------------------------------------
-    # native entry points (same contracts as the CacheHierarchy methods)
+    # kernel entry points (same contracts as the CacheHierarchy methods)
     # ------------------------------------------------------------------
 
-    def _cpu_access_native(
+    def cpu_access(
         self, core: int, block: int, kind: RegionKind, write: bool
     ) -> AccessLevel:
         level = self._kernel.bc_cpu_access(
@@ -299,7 +281,7 @@ class BatchHierarchy(CacheHierarchy):
                 counts[level] = 0
         return total
 
-    def _cpu_access_run_native(
+    def cpu_access_run(
         self,
         core: int,
         start: int,
@@ -319,7 +301,7 @@ class BatchHierarchy(CacheHierarchy):
         )
         self._flush_counts(level_counts)
 
-    def _cpu_access_batch_native(
+    def cpu_access_batch(
         self, core: int, blocks, writes, kind: RegionKind, level_counts: dict
     ) -> int:
         blocks64 = np.ascontiguousarray(blocks, dtype=np.int64)
@@ -335,40 +317,41 @@ class BatchHierarchy(CacheHierarchy):
         )
         return self._flush_counts(level_counts)
 
-    def _nic_llc_write_run_native(
+    def nic_llc_write(
+        self, core_hint: int, block: int, kind: RegionKind = RegionKind.RX_BUFFER
+    ) -> None:
+        self._kernel.bc_nic_llc_write_run(self._ctx_ref, core_hint, block, 1, kind)
+
+    def nic_llc_write_run(
         self,
         core_hint: int,
         blocks: Sequence[int],
         kind: RegionKind = RegionKind.RX_BUFFER,
     ) -> None:
-        bounds = _run_bounds(blocks)
-        if bounds is None:
-            CacheHierarchy.nic_llc_write_run(self, core_hint, blocks, kind)
-            return
-        self._kernel.bc_nic_llc_write_run(
-            self._ctx_ref, core_hint, bounds[0], bounds[1], kind
+        for start, n in _runs(blocks):
+            self._kernel.bc_nic_llc_write_run(
+                self._ctx_ref, core_hint, start, n, kind
+            )
+
+    def nic_probe_read(self, core_hint: int, block: int) -> bool:
+        return not self._kernel.bc_nic_probe_read_run(
+            self._ctx_ref, core_hint, block, 1
         )
 
-    def _nic_probe_read_run_native(
-        self, core_hint: int, blocks: Sequence[int]
-    ) -> None:
-        bounds = _run_bounds(blocks)
-        if bounds is None:
-            CacheHierarchy.nic_probe_read_run(self, core_hint, blocks)
-            return
-        self._kernel.bc_nic_probe_read_run(
-            self._ctx_ref, core_hint, bounds[0], bounds[1]
-        )
+    def nic_probe_read_run(self, core_hint: int, blocks: Sequence[int]) -> None:
+        for start, n in _runs(blocks):
+            self._kernel.bc_nic_probe_read_run(self._ctx_ref, core_hint, start, n)
 
-    def _sweep_run_native(self, core_hint: int, blocks: Sequence[int]) -> int:
-        bounds = _run_bounds(blocks)
-        if bounds is None:
-            return CacheHierarchy.sweep_run(self, core_hint, blocks)
-        return self._kernel.bc_sweep_run(
-            self._ctx_ref, core_hint, bounds[0], bounds[1]
-        )
+    def sweep_block(self, core_hint: int, block: int) -> int:
+        return self._kernel.bc_sweep_run(self._ctx_ref, core_hint, block, 1)
 
-    def _invalidate_block_native(
+    def sweep_run(self, core_hint: int, blocks: Sequence[int]) -> int:
+        dropped = 0
+        for start, n in _runs(blocks):
+            dropped += self._kernel.bc_sweep_run(self._ctx_ref, core_hint, start, n)
+        return dropped
+
+    def invalidate_block(
         self, core_hint: int, block: int, discard_dirty: bool
     ) -> bool:
         return bool(
@@ -377,29 +360,31 @@ class BatchHierarchy(CacheHierarchy):
             )
         )
 
-    def _dma_rx_write_run_native(
-        self, core_hint: int, blocks: Sequence[int]
-    ) -> None:
-        bounds = _run_bounds(blocks)
-        if bounds is None:
-            CacheHierarchy.dma_rx_write_run(self, core_hint, blocks)
-            return
-        self._kernel.bc_dma_rx_write_run(
-            self._ctx_ref, core_hint, bounds[0], bounds[1]
-        )
+    def dma_rx_write_run(self, core_hint: int, blocks: Sequence[int]) -> None:
+        for start, n in _runs(blocks):
+            self._kernel.bc_dma_rx_write_run(self._ctx_ref, core_hint, start, n)
 
-    def _dma_tx_read_run_native(
-        self, core_hint: int, blocks: Sequence[int]
-    ) -> None:
-        bounds = _run_bounds(blocks)
-        if bounds is None:
-            CacheHierarchy.dma_tx_read_run(self, core_hint, blocks)
-            return
-        self._kernel.bc_dma_tx_read_run(
-            self._ctx_ref, core_hint, bounds[0], bounds[1]
-        )
+    def dma_tx_read_run(self, core_hint: int, blocks: Sequence[int]) -> None:
+        for start, n in _runs(blocks):
+            self._kernel.bc_dma_tx_read_run(self._ctx_ref, core_hint, start, n)
 
-    def _llc_probe_native(
+    def llc_prime(self, blocks: Sequence[int], ways: Sequence[int]) -> None:
+        p_i64 = ctypes.POINTER(ctypes.c_int64)
+        blocks64 = np.ascontiguousarray(blocks, dtype=np.int64)
+        ways64 = np.ascontiguousarray(ways, dtype=np.int64)
+        if (
+            self._kernel.bc_llc_prime(
+                self._ctx_ref,
+                blocks64.ctypes.data_as(p_i64),
+                len(blocks64),
+                ways64.ctypes.data_as(p_i64),
+                len(ways64),
+            )
+            < 0
+        ):
+            raise ConfigError(f"{self.llc.name}: empty way mask for insert")
+
+    def llc_probe(
         self, blocks: Sequence[int], ways: Sequence[int]
     ) -> List[int]:
         p_i64 = ctypes.POINTER(ctypes.c_int64)

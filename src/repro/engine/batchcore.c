@@ -4,6 +4,7 @@
  * side (repro/cache/soa.py): every pointer below aliases a preallocated
  * numpy array, so Python introspection (occupancy, fuzz comparisons,
  * metrics collectors) always sees the live state without marshalling.
+ * This kernel is the only code that mutates that state.
  *
  * Semantics are an exact port of repro/cache/set_assoc.py and
  * repro/cache/hierarchy.py, including:
@@ -85,7 +86,7 @@ static int64_t slot_of(const BCache *c, int64_t block)
     return -1;
 }
 
-/* Probe; returns 1 on hit. Mirrors _access_lru/_access_random. */
+/* Probe; returns 1 on hit. Mirrors SetAssociativeCache.access. */
 static int cache_access(BCache *c, int64_t block, int write)
 {
     int64_t slot = slot_of(c, block);
@@ -119,8 +120,9 @@ static int64_t cache_access_kind(BCache *c, int64_t block, int write)
 
 /* Insert; evicted line is returned through out_{block,dirty,kind}.
  * Returns 1 if a line was evicted, 0 otherwise.
- * mask == NULL means no way restriction. Mirrors _insert_lru /
- * _insert_random including prefer_invalid and the LCG draw order. */
+ * mask == NULL means no way restriction. Mirrors
+ * SetAssociativeCache.insert including prefer_invalid and the LCG draw
+ * order. */
 static int cache_insert(BCache *c, int64_t block, int dirty, int64_t kind,
                         const int64_t *mask, int64_t mask_len,
                         int prefer_invalid, int64_t *out_block,
@@ -381,8 +383,11 @@ void bc_nic_llc_write_run(BHier *h, int64_t core, int64_t start, int64_t n,
     }
 }
 
-void bc_nic_probe_read_run(BHier *h, int64_t core, int64_t start, int64_t n)
+/* Returns the number of blocks no cache held (the DRAM reads). */
+int64_t bc_nic_probe_read_run(BHier *h, int64_t core, int64_t start,
+                              int64_t n)
 {
+    int64_t missed = 0;
     for (int64_t block = start; block < start + n; block++) {
         if (slot_of(&h->l1[core], block) >= 0)
             continue;
@@ -390,8 +395,10 @@ void bc_nic_probe_read_run(BHier *h, int64_t core, int64_t start, int64_t n)
             continue;
         if (cache_access(h->llc, block, 0))
             continue;
-        h->traffic[CAT_NIC_TX_RD] += 1;
+        missed++;
     }
+    h->traffic[CAT_NIC_TX_RD] += missed;
+    return missed;
 }
 
 int64_t bc_sweep_run(BHier *h, int64_t core, int64_t start, int64_t n)
@@ -436,12 +443,27 @@ int64_t bc_invalidate_block(BHier *h, int64_t core, int64_t block,
     return dirty_seen;
 }
 
-/* Prime+probe sweep (port of CacheHierarchy.llc_probe): probe every
- * block in the LLC, then re-prime the missed ones clean, in order,
- * inside the way mask. A line a re-prime evicts is discarded: no
- * writeback, no private-cache back-invalidation. Missed blocks are
- * written to out_missed in probe order; returns their count, or -1 on
+/* Prime (port of CacheHierarchy.llc_prime): insert every block clean,
+ * in order, inside the way mask. A line a prime evicts is discarded:
+ * no writeback, no private-cache back-invalidation. Returns 0, or -1 on
  * an empty way mask (Python raises ConfigError). */
+int64_t bc_llc_prime(BHier *h, const int64_t *blocks, int64_t n,
+                     const int64_t *ways, int64_t ways_len)
+{
+    for (int64_t i = 0; i < n; i++) {
+        int64_t ev_block, ev_kind;
+        int ev_dirty;
+        if (cache_insert(h->llc, blocks[i], 0, KIND_APP, ways, ways_len, 1,
+                         &ev_block, &ev_dirty, &ev_kind) < 0)
+            return -1;
+    }
+    return 0;
+}
+
+/* Prime+probe sweep (port of CacheHierarchy.llc_probe): probe every
+ * block in the LLC, then re-prime the missed ones. Missed blocks are
+ * written to out_missed in probe order; returns their count, or -1 on
+ * an empty way mask. */
 int64_t bc_llc_probe(BHier *h, const int64_t *blocks, int64_t n,
                      const int64_t *ways, int64_t ways_len,
                      int64_t *out_missed)
@@ -451,13 +473,8 @@ int64_t bc_llc_probe(BHier *h, const int64_t *blocks, int64_t n,
         if (!cache_access(h->llc, blocks[i], 0))
             out_missed[missed++] = blocks[i];
     }
-    for (int64_t i = 0; i < missed; i++) {
-        int64_t ev_block, ev_kind;
-        int ev_dirty;
-        if (cache_insert(h->llc, out_missed[i], 0, KIND_APP, ways, ways_len,
-                         1, &ev_block, &ev_dirty, &ev_kind) < 0)
-            return -1;
-    }
+    if (bc_llc_prime(h, out_missed, missed, ways, ways_len) < 0)
+        return -1;
     return missed;
 }
 

@@ -1,20 +1,17 @@
 """On-demand build and ctypes bindings for the batch engine's C kernel.
 
-The batch engine's hot loop lives in ``batchcore.c``, compiled lazily
-into a cached shared object the first time a process asks for it. The
-toolchain requirement is just a C compiler (``cc``/``gcc``/``clang``);
-no third-party package is involved. When no compiler is available the
-batch engine transparently falls back to the pure-Python methods that
-operate on the very same struct-of-arrays state (bit-identical, slower).
+The batch engine's cache state is mutated only by ``batchcore.c``,
+compiled lazily into a cached shared object the first time a process
+asks for it. The toolchain requirement is just a C compiler
+(``cc``/``gcc``/``clang``); no third-party package is involved.
+:func:`load_kernel` returns the kernel or raises :class:`ConfigError`;
+without a compiler, :func:`repro.engine.batch.build_hierarchy` runs the
+object engine instead (DESIGN.md §11).
 
-Environment knobs:
-
-* ``REPRO_BATCH_BACKEND`` — ``auto`` (default: native when it builds,
-  else Python), ``native`` (fail loudly if the kernel cannot be built),
-  or ``python`` (never build; use the numpy fallback).
-* ``REPRO_NATIVE_DIR`` — cache directory for compiled kernels (default
-  ``~/.cache/repro-native``). The library name embeds a hash of the C
-  source, so editing the kernel invalidates stale builds automatically.
+``REPRO_NATIVE_DIR`` is the cache directory for compiled kernels
+(default ``~/.cache/repro-native``). The library name embeds a hash of
+the C source, so editing the kernel invalidates stale builds
+automatically.
 
 Compilation is race-safe across processes: each builder compiles to a
 unique temp file and ``os.replace``s it into place.
@@ -35,18 +32,6 @@ from typing import Optional
 from repro.errors import ConfigError
 
 _SOURCE = Path(__file__).resolve().parent / "batchcore.c"
-
-BACKENDS = ("auto", "native", "python")
-
-
-def backend_from_env() -> str:
-    raw = os.environ.get("REPRO_BATCH_BACKEND", "auto").strip().lower()
-    if raw not in BACKENDS:
-        raise ConfigError(
-            f"REPRO_BATCH_BACKEND must be one of {BACKENDS}, got {raw!r}"
-        )
-    return raw
-
 
 def native_dir() -> Path:
     env = os.environ.get("REPRO_NATIVE_DIR")
@@ -131,9 +116,13 @@ _SIGNATURES = {
         [_P, c_int64, c_int64, c_int64, c_int64],
         None,
     ),
-    "bc_nic_probe_read_run": ([_P, c_int64, c_int64, c_int64], None),
+    "bc_nic_probe_read_run": ([_P, c_int64, c_int64, c_int64], c_int64),
     "bc_sweep_run": ([_P, c_int64, c_int64, c_int64], c_int64),
     "bc_invalidate_block": ([_P, c_int64, c_int64, c_int64], c_int64),
+    "bc_llc_prime": (
+        [_P, POINTER(c_int64), c_int64, POINTER(c_int64), c_int64],
+        c_int64,
+    ),
     "bc_llc_probe": (
         [
             _P,
@@ -231,16 +220,13 @@ _kernel: Optional[NativeKernel] = None
 _kernel_error: Optional[str] = None
 
 
-def load_kernel() -> Optional[NativeKernel]:
-    """The process-wide kernel, honouring ``REPRO_BATCH_BACKEND``.
+def load_kernel() -> NativeKernel:
+    """The process-wide kernel, built on first use.
 
-    Returns None when the Python fallback should be used. Raises
-    :class:`ConfigError` only under ``REPRO_BATCH_BACKEND=native``.
+    Raises :class:`ConfigError` when it cannot be built or loaded; the
+    failure is remembered, so later calls raise without recompiling.
     """
     global _kernel, _kernel_error
-    backend = backend_from_env()
-    if backend == "python":
-        return None
     if _kernel is not None:
         return _kernel
     if _kernel_error is None:
@@ -249,9 +235,4 @@ def load_kernel() -> Optional[NativeKernel]:
             return _kernel
         except (ConfigError, OSError) as exc:
             _kernel_error = str(exc)
-    if backend == "native":
-        raise ConfigError(
-            f"REPRO_BATCH_BACKEND=native but the kernel is unavailable: "
-            f"{_kernel_error}"
-        )
-    return None
+    raise ConfigError(f"batch kernel unavailable: {_kernel_error}")

@@ -22,11 +22,11 @@ long enough to wrap every RX ring twice, so all measurements reflect
 steady state.
 
 ``service_one`` is the reference implementation of these steps. On the
-batch engine's native backend, ``run_requests`` instead generates each
-segment's ops in Python and runs the whole segment in one
-``bc_run_requests`` kernel call, when the simulator's objects allow it
-(``_fusable``). The ring, NIC and Sweeper objects stay the source of
-truth between calls (DESIGN.md §11, "Fused request loop").
+batch engine, ``run_requests`` instead generates each segment's ops in
+Python and runs the whole segment in one ``bc_run_requests`` kernel
+call, when the simulator's objects allow it (``_fusable``). The ring,
+NIC and Sweeper objects stay the source of truth between calls
+(DESIGN.md §11, "Fused request loop").
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from repro.cache.set_assoc import SetAssociativeCache
 from repro.cache.soa import SoaCache
 from repro.core.api import Sweeper
 from repro.engine import native
-from repro.engine.batch import build_hierarchy, resolve_engine
+from repro.engine.batch import BatchHierarchy, build_hierarchy, resolve_engine
 from repro.errors import ConfigError, ProtocolError
 from repro.mem.layout import AddressSpace, RegionKind
 from repro.nic.arrivals import BacklogController, BurstProfile
@@ -202,8 +202,7 @@ def _cache_state_matches(cache, st) -> bool:
 def _restore_cache(cache, st) -> None:
     if isinstance(cache, SoaCache):
         # In place: the batch engine's native context holds raw pointers
-        # into these arrays (see SoaCache.clear), so the buffers must
-        # never be rebound.
+        # into these arrays, so the buffers must never be rebound.
         cache.tags[:] = st["tags"]
         cache.dirty[:] = st["dirty"]
         cache.kind[:] = st["kind"]
@@ -325,12 +324,13 @@ class TraceSimulator:
         self.obs = obs
         system = cfg.system
         self.space = AddressSpace()
-        self.engine = resolve_engine(cfg.engine)
         #: Always False: observer points run on either engine (DESIGN.md
         #: §12). Kept because per-layer tracing (sweepbench/spans.py)
         #: counts object-engine fallback points from it.
         self.observer_engine_fallback = False
-        self.hier = build_hierarchy(system, self.engine)
+        self.hier = build_hierarchy(system, resolve_engine(cfg.engine))
+        #: the engine that runs: "object" when the batch kernel is missing
+        self.engine = "batch" if isinstance(self.hier, BatchHierarchy) else "object"
         self.policy = cfg.make_policy()
         if isinstance(self.policy, DdioPolicy):
             self.policy.bind(self.hier)
@@ -537,14 +537,14 @@ class TraceSimulator:
 
     def _fusable(self) -> bool:
         """Whether ``run_requests`` may hand whole segments to the
-        kernel's ``bc_run_requests``: the native batch backend, this
+        kernel's ``bc_run_requests``: the batch engine, this
         exact class and a stateless built-in policy, and no instance
         wrapper on a method the kernel would bypass (per-layer tracing
         wraps them, and must see every call)."""
         hier, policy, sweeper = self.hier, self.policy, self.sweeper
         workload = self.cfg.workload
         return (
-            getattr(hier, "backend", None) == "native"
+            isinstance(hier, BatchHierarchy)
             and type(self) is TraceSimulator
             and type(policy) in _POLICY_CODES
             and (not sweeper.enabled or sweeper.permission_granted)

@@ -66,7 +66,6 @@ _ENV_KEYS = (
     "REPRO_CLUSTER_BATCH",
     "REPRO_SERVE_TIMEOUT_S",
     "REPRO_ENGINE",
-    "REPRO_BATCH_BACKEND",
     "REPRO_NATIVE_DIR",
     "REPRO_SNAPSHOTS",
     "REPRO_SCHED_POLICY",

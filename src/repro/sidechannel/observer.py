@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import ConfigError
-from repro.mem.layout import CACHE_BLOCK_BYTES, RegionKind
+from repro.mem.layout import CACHE_BLOCK_BYTES
 from repro.obs.probes import PROBE_SCHEMA_VERSION
 
 
@@ -167,7 +167,9 @@ class PrimeProbeObserver:
             for s in self.monitored_sets
             for j in range(len(ways))
         ]
-        self._prime(self._blocks)
+        # Clean inserts confined to the probed ways, the same rule as
+        # llc_probe's re-prime (one kernel call on the batch engine).
+        self.hier.llc_prime(self._blocks, ways)
         self.records = []
         self.total_hits = 0
         self.total_misses = 0
@@ -175,16 +177,6 @@ class PrimeProbeObserver:
         self._last_arrivals = self._arrivals_fn()
         self.active = True
         self._schedule_next(start_index - 1)
-
-    def _prime(self, blocks: List[int]) -> None:
-        insert = self.llc.insert
-        ways = self.probe_ways
-        kind = int(RegionKind.APP)
-        for block in blocks:
-            # Clean insert confined to the probed ways. Whatever line it
-            # evicts is discarded without a writeback charge, the same
-            # rule as llc_probe's re-prime (DESIGN.md §12).
-            insert(block, False, kind, ways, True)
 
     # ------------------------------------------------------------------
     # hot-path hook (called by TraceSimulator.run_requests)

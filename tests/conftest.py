@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.engine import native
+from repro.errors import ConfigError
 from repro.params import (
     CacheParams,
     CpuParams,
@@ -19,6 +21,21 @@ from repro.params import (
 )
 from repro.workloads.kvs import KvsParams, KvsWorkload
 from repro.workloads.l3fwd import L3fwdParams, L3fwdWorkload
+
+
+def _kernel_loads() -> bool:
+    try:
+        native.load_kernel()
+    except ConfigError:  # pragma: no cover - env-dependent
+        return False
+    return True
+
+
+#: Whether the batch engine's C kernel builds here. Without a C compiler
+#: ``engine="batch"`` runs the object engine, so tests of the batch
+#: engine itself carry ``needs_kernel``.
+KERNEL = _kernel_loads()
+needs_kernel = pytest.mark.skipif(not KERNEL, reason="no C compiler")
 
 
 def make_tiny_system(

@@ -1,80 +1,56 @@
 """Differential equivalence: batch engine vs the object-engine oracle.
 
 The batch engine (``repro.engine.batch``) promises *bit-identical*
-results to the dict-based object engine, for both its backends (the
-compiled ``batchcore.c`` kernel and the pure-Python fallback driving the
-same arrays). This suite enforces that contract at four granularities:
+results to the dict-based object engine: its C kernel
+(``batchcore.c``) is the only code that mutates its struct-of-arrays
+state. This suite enforces that contract at four granularities:
 
-1. **Cache fuzz** — a seeded random op sequence replayed against
-   :class:`~repro.cache.set_assoc.SetAssociativeCache` and
-   :class:`~repro.cache.soa.SoaCache`, asserting identical return values
-   (the eviction stream), :class:`CacheStats`, and final line state, for
-   both replacement policies and non-trivial way masks.
-2. **Hierarchy fuzz** — the same idea one level up: random batched ops
-   (access runs, NIC writes/probes, sweeps, DMA, prime+probe sweeps,
-   mask changes) against ``CacheHierarchy`` vs ``BatchHierarchy``.
-3. **Harness equivalence** — every figure harness's first and last spec
+1. **Hierarchy fuzz** — seeded random ops (single-block and batched
+   accesses, NIC writes/probes, sweeps, DMA, primes and prime+probe
+   sweeps, contiguous and scattered block lists, mask changes) against
+   ``CacheHierarchy`` vs ``BatchHierarchy``, for both LLC replacement
+   policies, asserting identical return values, stats and line state.
+2. **Harness equivalence** — every figure harness's first and last spec
    run end to end under both engines (the figS* observer points
    included), plus ``REPRO_EPOCH`` chunked runs and the
    ``CollocationSimulator``, comparing every ``TraceResult`` field.
-4. **Fused request loop** — configs no figure grid reaches, run on the
-   object engine, the native kernel's fused loop (``bc_run_requests``)
-   and the batch per-request loop, comparing results and loop state.
+3. **Fused request loop** — configs no figure grid reaches, run on the
+   object engine, the kernel's fused loop (``bc_run_requests``) and the
+   batch per-request loop, comparing results and loop state.
+4. **No-compiler fallback** — when the kernel cannot load, the batch
+   engine runs as the object engine and says so.
 """
 
 from __future__ import annotations
 
 import importlib
+import json
 import random
 
 import pytest
 
 from repro.cache.hierarchy import AccessLevel, CacheHierarchy
-from repro.cache.set_assoc import SetAssociativeCache
-from repro.cache.soa import SoaCache
-from repro.engine import native
+from repro.engine import native, result_identity
 from repro.engine.batch import BatchHierarchy, build_hierarchy
 from repro.engine.tracer import (
     CollocationSimulator,
     TraceConfig,
     TraceSimulator,
 )
+from repro.errors import ConfigError
 from repro.experiments.common import ExperimentSettings
 from repro.mem.layout import RegionKind
 from repro.nic.arrivals import BurstProfile
 from repro.obs.timeline import ObsContext
-from repro.params import CacheParams
 from repro.sidechannel.observer import ObserverConfig
 from repro.workloads.xmem import XMemWorkload
-from tests.conftest import make_tiny_kvs, make_tiny_l3fwd, make_tiny_system
-
-# Which batch backends can run here: the Python fallback always, the
-# native kernel when a C compiler is available (load under the ambient
-# env; "python" pinned via REPRO_BATCH_BACKEND disables the native leg).
-try:
-    _NATIVE = native.load_kernel() is not None
-except Exception:  # pragma: no cover - env-dependent
-    _NATIVE = False
-BACKENDS = ("python", "native") if _NATIVE else ("python",)
-
-
-@pytest.fixture(params=BACKENDS)
-def backend(request, monkeypatch):
-    monkeypatch.setenv("REPRO_BATCH_BACKEND", request.param)
-    return request.param
-
-
-# ---------------------------------------------------------------------------
-# 1. cache-level fuzz
-# ---------------------------------------------------------------------------
-
-# (mask for inserts, mask for a second insert flavour) — non-trivial
-# orders exercise the way-mask scan order, which LRU victim choice and
-# the LCG draw both depend on.
-MASKS = {
-    "nomask": (None, None),
-    "masked": ((3, 1, 2), (0, 2)),
-}
+from tests.conftest import (
+    KERNEL,
+    make_tiny_kvs,
+    make_tiny_l3fwd,
+    make_tiny_system,
+    needs_kernel,
+)
 
 
 def _final_state(cache):
@@ -85,84 +61,42 @@ def _final_state(cache):
     ]
 
 
-@pytest.mark.parametrize("replacement", ["lru", "random"])
-@pytest.mark.parametrize("mask_mode", sorted(MASKS))
-def test_cache_fuzz_identical_streams(replacement, mask_mode):
-    """Seeded op soup: identical eviction stream, stats, and state."""
-    params = CacheParams(
-        size_bytes=8 * 4 * 64, ways=4, latency_cycles=1, replacement=replacement
-    )
-    oracle = SetAssociativeCache(params)
-    soa = SoaCache(params)
-    mask_a, mask_b = MASKS[mask_mode]
-    rng = random.Random(0xF00D)
-    blocks = 4 * params.num_blocks  # working set 4x capacity
+# ---------------------------------------------------------------------------
+# 1. hierarchy-level fuzz
+# ---------------------------------------------------------------------------
 
-    stream_a, stream_b = [], []
-    for step in range(5000):
-        # draw every op argument ONCE per step so both replicas see
-        # identical inputs, then apply the same call to each cache
-        op = rng.randrange(7)
-        block = rng.randrange(blocks)
-        write = rng.random() < 0.5
-        dirty = rng.random() < 0.5
-        kind = rng.randrange(3)
-        prefer = rng.random() < 0.5
+
+def _block_list(rng, blocks: int):
+    """A contiguous run (as a range) or a scattered list (unordered,
+    possibly repeating) of 1-8 blocks."""
+    n = rng.randrange(1, 9)
+    if rng.random() < 0.5:
         start = rng.randrange(blocks)
-        run_n = rng.randrange(1, 9)
-        for cache, stream in ((oracle, stream_a), (soa, stream_b)):
-            if op == 0:
-                out = cache.access(block, write=write)
-            elif op == 1:
-                out = cache.access_kind(block, write=False)
-            elif op == 2:
-                evicted = cache.insert(
-                    block,
-                    dirty=dirty,
-                    kind=kind,
-                    way_mask=mask_a,
-                    prefer_invalid=prefer,
-                )
-                out = None if evicted is None else tuple(evicted)
-            elif op == 3:
-                evicted = cache.insert(
-                    block, dirty=True, kind=int(RegionKind.TX_BUFFER),
-                    way_mask=mask_b,
-                )
-                out = None if evicted is None else tuple(evicted)
-            elif op == 4:
-                out = cache.remove(block)
-            elif op == 5:
-                out = cache.sweep(block)
-            else:
-                out = tuple(cache.access_run(start, run_n, write=write))
-            stream.append(out)
-        assert stream_a[-1] == stream_b[-1], f"step {step}: {op=} {block=}"
-
-    assert stream_a == stream_b
-    assert oracle.stats.as_dict() == soa.stats.as_dict()
-    assert _final_state(oracle) == _final_state(soa)
+        return range(start, start + n)
+    return [rng.randrange(blocks) for _ in range(n)]
 
 
-# ---------------------------------------------------------------------------
-# 2. hierarchy-level fuzz
-# ---------------------------------------------------------------------------
-
-
-def test_hierarchy_fuzz_identical(backend):
-    system = make_tiny_system(num_cores=2)
+@needs_kernel
+@pytest.mark.parametrize("llc_replacement", ["random", "lru"])
+def test_hierarchy_fuzz_identical(llc_replacement):
+    system = make_tiny_system(num_cores=2, llc_replacement=llc_replacement)
     oracle = CacheHierarchy(system)
     batch = build_hierarchy(system, "batch")
     assert isinstance(batch, BatchHierarchy)
-    assert batch.backend == backend
 
     rng = random.Random(0xBEEF)
     blocks = 4 * system.llc.num_blocks
     counts_a = {lv: 0 for lv in AccessLevel}
     counts_b = {lv: 0 for lv in AccessLevel}
 
-    for step in range(3000):
-        op = rng.randrange(11)
+    def random_ways():
+        # unsorted, so the mask scan order matters
+        return rng.sample(
+            range(system.llc.ways), rng.randrange(1, system.llc.ways + 1)
+        )
+
+    for step in range(4000):
+        op = rng.randrange(15)
         core = rng.randrange(system.cpu.num_cores)
         block = rng.randrange(blocks)
         kind = RegionKind(rng.randrange(3))
@@ -176,15 +110,15 @@ def test_hierarchy_fuzz_identical(backend):
             a = oracle.cpu_access_run(core, block, n, kind, write, counts_a)
             b = batch.cpu_access_run(core, block, n, kind, write, counts_b)
         elif op == 4:
-            run = range(block, block + rng.randrange(1, 9))
-            a = oracle.nic_llc_write_run(core, run)
-            b = batch.nic_llc_write_run(core, run)
+            run = _block_list(rng, blocks)
+            a = oracle.nic_llc_write_run(core, run, kind)
+            b = batch.nic_llc_write_run(core, run, kind)
         elif op == 5:
-            run = range(block, block + rng.randrange(1, 9))
+            run = _block_list(rng, blocks)
             a = oracle.nic_probe_read_run(core, run)
             b = batch.nic_probe_read_run(core, run)
         elif op == 6:
-            run = range(block, block + rng.randrange(1, 9))
+            run = _block_list(rng, blocks)
             a = oracle.sweep_run(core, run)
             b = batch.sweep_run(core, run)
         elif op == 7:
@@ -192,7 +126,7 @@ def test_hierarchy_fuzz_identical(backend):
             a = oracle.invalidate_block(core, block, discard)
             b = batch.invalidate_block(core, block, discard)
         elif op == 8:
-            run = range(block, block + rng.randrange(1, 9))
+            run = _block_list(rng, blocks)
             if rng.random() < 0.5:
                 a = oracle.dma_rx_write_run(core, run)
                 b = batch.dma_rx_write_run(core, run)
@@ -200,15 +134,26 @@ def test_hierarchy_fuzz_identical(backend):
                 a = oracle.dma_tx_read_run(core, run)
                 b = batch.dma_tx_read_run(core, run)
         elif op == 9:
-            # prime+probe sweep: a random (unsorted) way mask and a
-            # random block list over a working set where NIC writes
+            # prime+probe sweep over a working set where NIC writes
             # leave dirty lines for the re-primes to evict
-            ways = rng.sample(
-                range(system.llc.ways), rng.randrange(1, system.llc.ways + 1)
-            )
+            ways = random_ways()
             probe = [rng.randrange(blocks) for _ in range(rng.randrange(1, 17))]
             a = oracle.llc_probe(probe, ways)
             b = batch.llc_probe(probe, ways)
+        elif op == 10:
+            ways = random_ways()
+            prime = [rng.randrange(blocks) for _ in range(rng.randrange(1, 17))]
+            a = oracle.llc_prime(prime, ways)
+            b = batch.llc_prime(prime, ways)
+        elif op == 11:
+            a = oracle.nic_llc_write(core, block, kind)
+            b = batch.nic_llc_write(core, block, kind)
+        elif op == 12:
+            a = oracle.nic_probe_read(core, block)
+            b = batch.nic_probe_read(core, block)
+        elif op == 13:
+            a = oracle.sweep_block(core, block)
+            b = batch.sweep_block(core, block)
         else:
             # reconfigure mid-stream: masks and the victim-fill switch
             choice = rng.randrange(3)
@@ -238,11 +183,12 @@ def test_hierarchy_fuzz_identical(backend):
     assert oracle.stats_totals() == batch.stats_totals()
     assert oracle.llc.occupancy_by_kind() == batch.llc.occupancy_by_kind()
     for ca, cb in zip(oracle.all_caches(), batch.all_caches()):
+        assert ca.stats.as_dict() == cb.stats.as_dict(), ca.name
         assert _final_state(ca) == _final_state(cb), ca.name
 
 
 # ---------------------------------------------------------------------------
-# 3. end-to-end harness equivalence
+# 2. end-to-end harness equivalence
 # ---------------------------------------------------------------------------
 
 FIG_MODULES = [
@@ -295,7 +241,7 @@ def _cfg_from_spec(spec, engine: str) -> TraceConfig:
 
 
 @pytest.mark.parametrize("fig", FIG_MODULES)
-def test_fig_harness_equivalence(fig, backend):
+def test_fig_harness_equivalence(fig):
     module = importlib.import_module(f"repro.experiments.{fig}")
     specs = module.specs(ExperimentSettings(scale=0.05))
     assert specs, fig
@@ -310,14 +256,15 @@ def test_fig_harness_equivalence(fig, backend):
         _assert_results_equal(obj, bat)
         assert (obj.leak is None) == (spec.observer is None)
         if obj.leak is not None:
-            assert (obj.leak["engine"], bat.leak["engine"]) == ("object", "batch")
+            engine = "batch" if KERNEL else "object"
+            assert (obj.leak["engine"], bat.leak["engine"]) == ("object", engine)
             assert _without_engine(obj.leak) == _without_engine(bat.leak)
             assert obj_sim.observer.records == bat_sim.observer.records
 
 
 @pytest.mark.parametrize("policy", ["occamy", "rdca"])
 @pytest.mark.parametrize("sweeper", [False, True])
-def test_zoo_policy_equivalence(backend, policy, sweeper):
+def test_zoo_policy_equivalence(policy, sweeper):
     """The policy zoo's members are engine-equivalent by construction
     (hierarchy primitives only); this enforces it end to end."""
     def run(engine):
@@ -335,7 +282,7 @@ def test_zoo_policy_equivalence(backend, policy, sweeper):
     _assert_results_equal(run("object"), run("batch"))
 
 
-def test_epoch_chunked_equivalence(backend):
+def test_epoch_chunked_equivalence():
     """REPRO_EPOCH-style chunked measure loops stay bit-identical."""
     def run(engine):
         cfg = TraceConfig(
@@ -353,7 +300,7 @@ def test_epoch_chunked_equivalence(backend):
 
 
 @pytest.mark.parametrize("overlap", [False, True])
-def test_collocation_equivalence(backend, overlap):
+def test_collocation_equivalence(overlap):
     """CollocationSimulator (X-Mem tenant) matches across engines."""
     def run(engine):
         cfg = TraceConfig(
@@ -380,11 +327,8 @@ def test_collocation_equivalence(backend, overlap):
 
 
 # ---------------------------------------------------------------------------
-# 4. the fused request loop (bc_run_requests) vs the per-request loop
+# 3. the fused request loop (bc_run_requests) vs the per-request loop
 # ---------------------------------------------------------------------------
-
-needs_native = pytest.mark.skipif(not _NATIVE, reason="no C compiler")
-
 
 def _zero_copy_l3fwd():
     return make_tiny_l3fwd(zero_copy=True)
@@ -451,10 +395,9 @@ def _loop_state(sim):
     )
 
 
-@needs_native
+@needs_kernel
 @pytest.mark.parametrize("name", sorted(FUSED_CONFIGS))
-def test_fused_loop_equivalence(name, monkeypatch):
-    monkeypatch.setenv("REPRO_BATCH_BACKEND", "native")
+def test_fused_loop_equivalence(name):
     runs = [
         _fused_run(name, "object"),
         _fused_run(name, "batch"),
@@ -477,12 +420,11 @@ def test_fused_loop_equivalence(name, monkeypatch):
             assert sim.observer.records == oracle_sim.observer.records
 
 
-@needs_native
-def test_instance_wrapper_sees_every_request(monkeypatch):
+@needs_kernel
+def test_instance_wrapper_sees_every_request():
     """A wrapper on ``nic.process_one`` (per-layer tracing's contract)
     forces the per-request loop: it runs once per simulated request,
     and the result is the fused run's."""
-    monkeypatch.setenv("REPRO_BATCH_BACKEND", "native")
 
     def run(wrap):
         cfg = TraceConfig(
@@ -531,6 +473,7 @@ def test_manifest_records_engine(monkeypatch, tmp_path):
     assert RunManifest.create().engine == "object"
 
 
+@needs_kernel
 def test_explicit_engine_overrides_env(monkeypatch):
     """TraceConfig.engine wins over REPRO_ENGINE."""
     monkeypatch.setenv("REPRO_ENGINE", "batch")
@@ -554,3 +497,47 @@ def test_explicit_engine_overrides_env(monkeypatch):
     sim_env = TraceSimulator(cfg_env)
     assert sim_env.engine == "batch"
     assert isinstance(sim_env.hier, BatchHierarchy)
+
+
+# ---------------------------------------------------------------------------
+# 4. the no-compiler fallback
+# ---------------------------------------------------------------------------
+
+
+def test_batch_engine_falls_back_without_kernel(monkeypatch, tmp_path, capsys):
+    """With no C compiler (and no cached build) ``engine="batch"`` runs
+    the object engine, reports it and logs one ``engine.fallback``
+    event; the result is an object-engine run's."""
+    monkeypatch.setattr(native, "_kernel", None)
+    monkeypatch.setattr(native, "_kernel_error", None)
+    monkeypatch.setattr(native, "_find_compiler", lambda: None)
+    monkeypatch.setenv("REPRO_NATIVE_DIR", str(tmp_path))
+    monkeypatch.setenv("REPRO_LOG", "json")
+
+    def sim(engine):
+        return TraceSimulator(
+            TraceConfig(
+                system=make_tiny_system(),
+                workload=make_tiny_kvs(),
+                sweeper=True,
+                warmup_requests=128,
+                measure_requests=256,
+                engine=engine,
+                observer=ObserverConfig(sets=8, period=5),
+            )
+        )
+
+    fallback = sim("batch")
+    events = [
+        json.loads(line)["event"]
+        for line in capsys.readouterr().err.splitlines()
+        if line.startswith("{")
+    ]
+    assert events.count("engine.fallback") == 1
+    assert type(fallback.hier) is CacheHierarchy
+    assert fallback.engine == "object"
+    result = fallback.run()
+    assert result.leak["engine"] == "object"
+    assert result_identity(result) == result_identity(sim("object").run())
+    with pytest.raises(ConfigError, match="no C compiler"):
+        native.load_kernel()

@@ -12,6 +12,10 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -350,6 +354,32 @@ def test_sampler_baseline_excludes_warmup():
     rec = sampler.sample(requests=10)
     assert rec["deltas"]["warm_total"] == 5.0
     assert sampler.summed_deltas("warm_total") == 5.0
+
+
+def test_timeline_cli_runs_as_main_without_double_import(tmp_path):
+    """``python -m repro.report.timeline`` must not find the module
+    already imported by its package (a RuntimeWarning, made fatal)."""
+    env = dict(os.environ)
+    src = Path(__file__).resolve().parents[1] / "src"
+    env["PYTHONPATH"] = str(src) + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-W",
+            "error::RuntimeWarning",
+            "-m",
+            "repro.report.timeline",
+            "--list",
+            "--runs-dir",
+            str(tmp_path),
+        ],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "no runs under" in proc.stdout
 
 
 def test_timeline_jsonl_round_trip(tmp_path):

@@ -27,8 +27,6 @@ from pathlib import Path
 import pytest
 
 from repro.cache.hierarchy import CacheHierarchy
-from repro.cache.set_assoc import SetAssociativeCache
-from repro.cache.soa import SoaCache
 from repro.engine.batch import BatchHierarchy, build_hierarchy
 from repro.engine.parallel import (
     PointSpec,
@@ -53,7 +51,6 @@ from repro.obs.manifest import RunManifest
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.probes import validate_probe_record, validate_probe_timeline
 from repro.obs.validate import validate_run_dir
-from repro.params import CacheParams
 from repro.serve.jobs import BadRequest, parse_job_request
 from repro.sidechannel import (
     ObserverConfig,
@@ -62,7 +59,12 @@ from repro.sidechannel import (
     per_set_eviction_counts,
 )
 from repro.workloads.xmem import XMemWorkload
-from tests.conftest import make_tiny_kvs, make_tiny_l3fwd, make_tiny_system
+from tests.conftest import (
+    make_tiny_kvs,
+    make_tiny_l3fwd,
+    make_tiny_system,
+    needs_kernel,
+)
 
 #: tiny-machine observer/burst used throughout (64-set LLC, 2 DDIO ways).
 TINY_OBSERVER = ObserverConfig(sets=8, period=8, probe_seed=23, mi_bins=4)
@@ -424,6 +426,7 @@ def _without_engine(leak: dict) -> dict:
     return {k: v for k, v in leak.items() if k != "engine"}
 
 
+@needs_kernel
 def test_observer_runs_on_batch_engine_with_identical_results(
     monkeypatch, capsys
 ):
@@ -472,6 +475,7 @@ def test_reprime_discards_dirty_victim_without_traffic(engine):
     assert hier.l1s[0].contains(victim) and hier.l2s[0].contains(victim)
 
 
+@needs_kernel
 def test_burst_alone_runs_under_batch_engine(monkeypatch):
     def run(engine):
         sim = TraceSimulator(
@@ -514,6 +518,7 @@ def test_mi_ordering_dma_below_sweeper_below_ddio():
 # ----------------------------------------------------------------------
 
 
+@needs_kernel
 def test_run_manifest_records_observer_provenance(monkeypatch, tmp_path):
     monkeypatch.setenv("REPRO_NO_CACHE", "1")
     monkeypatch.setenv("REPRO_RUNS_DIR", str(tmp_path / "runs"))
@@ -551,19 +556,25 @@ def test_cached_observer_point_keeps_leak_but_drops_probe_file(
     assert second.trace.leak == first.trace.leak
 
 
+@needs_kernel
 def test_occupancy_by_way_matches_across_cache_impls():
-    params = CacheParams(
-        size_bytes=8 * 4 * 64, ways=4, latency_cycles=1, replacement="lru"
-    )
-    oracle, soa = SetAssociativeCache(params), SoaCache(params)
-    for block in range(0, 48, 1):
-        mask = (0, 2) if block % 3 else None
-        oracle.insert(block, dirty=False, kind=0, way_mask=mask)
-        soa.insert(block, dirty=False, kind=0, way_mask=mask)
-    a, b = oracle.occupancy_by_way(), soa.occupancy_by_way()
+    """Per-way occupancy after masked primes (LRU LLC, overlapping
+    block lists so some primes refresh a resident line) agrees between
+    the object and batch hierarchies."""
+    system = make_tiny_system(llc_replacement="lru")
+    oracle, batch = CacheHierarchy(system), build_hierarchy(system, "batch")
+    assert isinstance(batch, BatchHierarchy)
+    sets = system.llc.num_sets
+    for step, ways in enumerate(((0, 2), (5, 1, 7), (3,), (2, 0))):
+        blocks = list(range(step * sets // 2, step * sets // 2 + 2 * sets))
+        oracle.llc_prime(blocks, ways)
+        batch.llc_prime(blocks, ways)
+    a, b = oracle.llc.occupancy_by_way(), batch.llc.occupancy_by_way()
     assert a == b
-    assert len(a) == params.ways
-    assert sum(a) == len(oracle.resident_blocks())
+    assert len(a) == system.llc.ways
+    assert len(set(a)) > 2  # the masks made the ways differ
+    assert sum(a) == len(oracle.llc.resident_blocks())
+    assert oracle.llc.stats.as_dict() == batch.llc.stats.as_dict()
 
 
 def test_llc_way_occupancy_gauge_published():
