@@ -93,6 +93,8 @@ class CacheHierarchy:
 
     def set_ddio_way_mask(self, ways: Sequence[int]) -> None:
         mask = tuple(ways)
+        if not mask:
+            raise ConfigError("DDIO way mask is empty")
         if any(w < 0 or w >= self.llc.ways for w in mask):
             raise ConfigError("DDIO way mask exceeds LLC associativity")
         self.ddio_way_mask = mask
@@ -103,6 +105,8 @@ class CacheHierarchy:
             self._core_fill_masks[core] = None
             return
         mask = tuple(ways)
+        if not mask:
+            raise ConfigError("core fill mask is empty (None clears it)")
         if any(w < 0 or w >= self.llc.ways for w in mask):
             raise ConfigError("core fill mask exceeds LLC associativity")
         self._core_fill_masks[core] = mask

@@ -36,7 +36,7 @@ import numpy as np
 from repro.cache.hierarchy import AccessLevel, CacheHierarchy
 from repro.cache.soa import ArrayCounts, SoaCache, array_traffic_counter
 from repro.engine import native
-from repro.errors import ConfigError
+from repro.errors import ConfigError, ProtocolError
 from repro.mem.layout import RegionKind
 from repro.obs import events as obs_events
 from repro.params import SystemConfig
@@ -246,8 +246,14 @@ class BatchHierarchy(CacheHierarchy):
         ops: np.ndarray,
     ) -> int:
         """Service ``count`` requests in one ``bc_run_requests`` call;
-        returns how many were serviced (see ``batchcore.c``)."""
+        returns how many were serviced, or -1 when ``ops`` does not
+        decode to exactly ``count`` requests (see ``batchcore.c``)."""
         p_i64 = ctypes.POINTER(ctypes.c_int64)
+        ops = np.ascontiguousarray(ops, np.int64)
+        if depths is not None:
+            depths = np.ascontiguousarray(depths, np.int64)
+            if len(depths) < count:
+                raise ProtocolError(f"{len(depths)} depths for {count} requests")
         return self._kernel.bc_run_requests(
             self._ctx_ref,
             ctypes.byref(loop),
@@ -256,6 +262,7 @@ class BatchHierarchy(CacheHierarchy):
             None if depths is None else depths.ctypes.data_as(p_i64),
             depth,
             ops.ctypes.data_as(p_i64),
+            ops.size,
         )
 
     # ------------------------------------------------------------------

@@ -558,18 +558,48 @@ static void nic_transmit(BHier *h, BLoop *q, int64_t core, int64_t start,
     q->counts[LOOP_TRANSMISSIONS] += 1;
 }
 
+/* bc_run_requests' return when ``ops`` is not exactly ``count``
+ * well-formed requests. */
+#define RUN_BAD_OPS (-1)
+
+/* Whether the ``n_ops`` ints at ``ops`` decode to exactly ``count``
+ * requests: every header fits, no count is negative, and no request's
+ * ops run past the buffer. Reads nothing outside the buffer. */
+static int ops_well_formed(const int64_t *ops, int64_t n_ops, int64_t count)
+{
+    /* ints per read, read run, write and write run */
+    static const int64_t width[4] = {1, 2, 1, 2};
+    int64_t at = 0;
+    for (int64_t k = 0; k < count; k++) {
+        if (n_ops - at < 5)
+            return 0;
+        const int64_t *hdr = ops + at;
+        at += 5;
+        for (int i = 0; i < 4; i++) {
+            if (hdr[i] < 0 || hdr[i] > (n_ops - at) / width[i])
+                return 0;
+            at += hdr[i] * width[i];
+        }
+    }
+    return at == n_ops;
+}
+
 /* Service requests start..start+count-1 (core = index % num_cores).
- * ``ops`` holds each request's application ops in order: the header
- * (n_reads, n_read_runs, n_writes, n_write_runs, response_blocks), then
- * the read blocks, the (start, n) read runs, the write blocks and the
- * (start, n) write runs. ``depths`` is the per-request backlog target,
- * or NULL for the constant ``depth``. Returns the number of requests
- * serviced; fewer than ``count`` means the next one found its RX ring
- * empty (Python raises ProtocolError). */
+ * ``ops`` holds ``n_ops`` ints, each request's application ops in
+ * order: the header (n_reads, n_read_runs, n_writes, n_write_runs,
+ * response_blocks), then the read blocks, the (start, n) read runs, the
+ * write blocks and the (start, n) write runs. ``depths`` is the
+ * per-request backlog target, or NULL for the constant ``depth``.
+ * Returns RUN_BAD_OPS, having changed nothing, when ``ops`` does not
+ * decode to exactly ``count`` requests. Otherwise returns the number of
+ * requests serviced; fewer than ``count`` means the next one found its
+ * RX ring empty. Python raises ProtocolError for both. */
 int64_t bc_run_requests(BHier *h, BLoop *q, int64_t start, int64_t count,
                         const int64_t *depths, int64_t depth,
-                        const int64_t *ops)
+                        const int64_t *ops, int64_t n_ops)
 {
+    if (!ops_well_formed(ops, n_ops, count))
+        return RUN_BAD_OPS;
     const int64_t pb = q->packet_blocks;
     int64_t *levels = q->counts + LOOP_LEVELS;
     for (int64_t k = 0; k < count; k++) {

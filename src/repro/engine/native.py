@@ -145,6 +145,7 @@ _SIGNATURES = {
             POINTER(c_int64),
             c_int64,
             POINTER(c_int64),
+            c_int64,
         ],
         c_int64,
     ),

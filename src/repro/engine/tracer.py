@@ -22,11 +22,12 @@ long enough to wrap every RX ring twice, so all measurements reflect
 steady state.
 
 ``service_one`` is the reference implementation of these steps. On the
-batch engine, ``run_requests`` instead generates each segment's ops in
-Python and runs the whole segment in one ``bc_run_requests`` kernel
-call, when the simulator's objects allow it (``_fusable``). The ring,
-NIC and Sweeper objects stay the source of truth between calls
-(DESIGN.md §11, "Fused request loop").
+batch engine, ``run_requests`` instead has the workload encode each
+segment's ops (``Workload.encode_segment``, one numpy pass for the KVS
+and L3fwd workloads) and runs the whole segment in one
+``bc_run_requests`` kernel call, when the simulator's objects allow it
+(``_fusable``). The ring, NIC and Sweeper objects stay the source of
+truth between calls (DESIGN.md §11, "Fused request loop").
 """
 
 from __future__ import annotations
@@ -292,6 +293,11 @@ class _FusedLoop:
         done = sim.hier.run_request_loop(
             st, start, count, depths, sim.backlog.target_depth, ops
         )
+        if done < 0:
+            raise ProtocolError(
+                f"requests {start}..{start + count - 1}: op buffer of "
+                f"{ops.size} ints is not {count} well-formed requests"
+            )
         heads, tails, drops, posted, nexts = self.cursors.tolist()
         for r, h, t, d, p in zip(rx, heads, tails, drops, posted):
             r.head, r.tail, r.drops, r.posted = h, t, d, p
@@ -539,8 +545,8 @@ class TraceSimulator:
         """Whether ``run_requests`` may hand whole segments to the
         kernel's ``bc_run_requests``: the batch engine, this
         exact class and a stateless built-in policy, and no instance
-        wrapper on a method the kernel would bypass (per-layer tracing
-        wraps them, and must see every call)."""
+        wrapper on a method the fused loop would bypass (per-layer
+        tracing wraps them, and must see every call)."""
         hier, policy, sweeper = self.hier, self.policy, self.sweeper
         workload = self.cfg.workload
         return (
@@ -550,6 +556,7 @@ class TraceSimulator:
             and (not sweeper.enabled or sweeper.permission_granted)
             and type(workload).request_cycles is Workload.request_cycles
             and "request_cycles" not in vars(workload)
+            and "request" not in vars(workload)
             and hier.native_intact()
             and "process_one" not in vars(self.nic)
             and "relinquish_blocks" not in vars(sweeper)
@@ -581,43 +588,24 @@ class TraceSimulator:
             self.backlog.target_depth = burst.depth(end - 1)
 
     def _run_segment(self, start: int, stop: int) -> None:
-        """Generate and encode the segment's ops, then run it natively."""
+        """Encode the segment's ops, then run it natively."""
         workload = self.cfg.workload
-        request = workload.request
-        cores = self.cfg.system.cpu.num_cores
-        packet_blocks = self._packet_blocks
-        base, per_block = workload.base_cycles, workload.cycles_per_block
-        cycles = self._cpu_work_cycles
-        encoded: List[int] = []
-        put = encoded.extend
-        for i in range(start, stop):
-            ops = request(i % cores)
-            reads, read_runs = ops.app_reads, ops.read_runs
-            writes, write_runs = ops.app_writes, ops.write_runs
-            response = ops.response_blocks
-            put((len(reads), len(read_runs), len(writes), len(write_runs), response))
-            put(reads)
-            touched = len(reads) + len(writes) + packet_blocks + response
-            # Unpacking checks each run is a (start, n) pair, so the
-            # kernel's reads stay inside the buffer.
-            for run_start, n in read_runs:
-                put((run_start, n))
-                touched += n
-            put(writes)
-            for run_start, n in write_runs:
-                put((run_start, n))
-                touched += n
-            # Workload.request_cycles, accumulated request by request so
-            # the float sum is the per-request loop's, bit for bit.
-            cycles += base + per_block * touched
-        self._cpu_work_cycles = cycles
-        burst = self.cfg.burst
-        depths = (
-            None
-            if burst is None
-            else np.array([burst.depth(i) for i in range(start, stop)], np.int64)
+        ops, touched = workload.encode_segment(
+            start, stop, self.cfg.system.cpu.num_cores, self._packet_blocks
         )
-        self._fused.run(self, start, stop - start, depths, np.array(encoded, np.int64))
+        # Workload.request_cycles per request, summed in request order:
+        # add.accumulate adds term by term, so the float sum is the
+        # per-request loop's, bit for bit (np.sum would pair terms up).
+        terms = np.concatenate(
+            (
+                [self._cpu_work_cycles],
+                workload.base_cycles + workload.cycles_per_block * touched,
+            )
+        )
+        self._cpu_work_cycles = float(np.add.accumulate(terms)[-1])
+        burst = self.cfg.burst
+        depths = None if burst is None else burst.depths(start, stop)
+        self._fused.run(self, start, stop - start, depths, ops)
 
     def _reset_measurements(self) -> None:
         self.hier.traffic.reset()

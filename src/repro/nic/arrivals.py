@@ -112,6 +112,19 @@ class BurstProfile:
         x ^= x >> 13
         return self.high if x & 0x10000 else self.low
 
+    def depths(self, start: int, stop: int) -> np.ndarray:
+        """``depth(i)`` for every ``i`` in ``start..stop-1``, as int64.
+        The hash wraps in uint64; masking to 32 bits makes that equal to
+        ``depth``'s unbounded integer arithmetic."""
+        u64, mask = np.uint64, np.uint64(0xFFFFFFFF)
+        w = np.arange(start, stop, dtype=np.uint64) // u64(self.window)
+        salt = (self.seed * 2654435761 + 0x9E3779B9) & 0xFFFFFFFF
+        x = (w * u64(2246822519) + u64(salt)) & mask
+        x ^= x >> u64(15)
+        x = (x * u64(2246822519)) & mask
+        x ^= x >> u64(13)
+        return np.where(x & u64(0x10000), self.high, self.low).astype(np.int64)
+
 
 class SpikeSampler:
     """Occasional long service delays (Figure 10's spiky workload)."""

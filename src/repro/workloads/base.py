@@ -8,6 +8,13 @@ NIC TX read → optional relinquish):
 * how many TX blocks the response occupies;
 * its base CPU work in cycles (everything that is not a memory access),
   used by the analytic service-time model.
+
+:meth:`Workload.request` generates one request's ops and is the
+reference generator. :meth:`Workload.encode_segment` generates a whole
+segment of requests in the batch engine's fused-loop encoding; its
+default calls ``request`` once per request, and the KVS and L3fwd
+workloads override it with one numpy pass that leaves the workload in
+the state those calls would (DESIGN.md §11, "Fused request loop").
 """
 
 from __future__ import annotations
@@ -84,6 +91,47 @@ class Workload(abc.ABC):
     @abc.abstractmethod
     def request(self, core: int) -> RequestOps:
         """Generate the application accesses of the next request."""
+
+    def encode_segment(
+        self, start: int, stop: int, cores: int, packet_blocks: int
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Ops of requests ``start..stop-1`` (``start < stop``) for
+        ``bc_run_requests``.
+
+        Request ``i`` runs on core ``i % cores``. Returns the flat int64
+        op buffer the kernel decodes and each request's touched-block
+        count (``touched`` of :meth:`request_cycles`). Per request the
+        buffer holds a header ``[n_reads, n_read_runs, n_writes,
+        n_write_runs, response_blocks]``, then the read blocks, the
+        ``(start, n)`` read runs, the write blocks and the write runs.
+
+        This default calls :meth:`request` once per request. An override
+        must return the same arrays and leave the workload in the state
+        those calls would leave it in: every random draw made, and
+        nothing drawn ahead of the segment. A subclass that overrides
+        ``request`` must therefore override this method too.
+        """
+        encoded: List[int] = []
+        touched: List[int] = []
+        put = encoded.extend
+        request = self.request
+        for i in range(start, stop):
+            ops = request(i % cores)
+            reads, read_runs = ops.app_reads, ops.read_runs
+            writes, write_runs = ops.app_writes, ops.write_runs
+            response = ops.response_blocks
+            put((len(reads), len(read_runs), len(writes), len(write_runs), response))
+            put(reads)
+            n = len(reads) + len(writes) + packet_blocks + response
+            for run_start, run_n in read_runs:
+                put((run_start, run_n))
+                n += run_n
+            put(writes)
+            for run_start, run_n in write_runs:
+                put((run_start, run_n))
+                n += run_n
+            touched.append(n)
+        return np.array(encoded, np.int64), np.array(touched, np.int64)
 
     def cache_key(self) -> str:
         """Deterministic identity for persistent result caching.

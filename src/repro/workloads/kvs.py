@@ -24,7 +24,7 @@ Per request:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -123,13 +123,38 @@ class KvsWorkload(Workload):
         self._op_pos = 0
         self._built = True
 
+    def _refill_ops(self) -> None:
+        self._op_batch = self._rng.random(8192)
+        self._op_pos = 0
+
     def _next_is_get(self) -> bool:
         if self._op_pos >= len(self._op_batch):
-            self._op_batch = self._rng.random(8192)
-            self._op_pos = 0
+            self._refill_ops()
         is_get = bool(self._op_batch[self._op_pos] < self.params.get_fraction)
         self._op_pos += 1
         return is_get
+
+    def _draw(self, count: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Keys and GET flags of the next ``count`` requests, drawn from
+        the same batches, refilled at the same requests, as ``count``
+        calls to :meth:`request` would draw them."""
+        zipf, get_fraction = self._zipf, self.params.get_fraction
+        keys: List[np.ndarray] = []
+        gets: List[np.ndarray] = []
+        while count > 0:
+            left = len(self._op_batch) - self._op_pos
+            # A request draws its key before its GET/SET flag, so the
+            # request that refills the flags takes its key first (and
+            # refills the keys first if they ran out too), on its own.
+            run = zipf.sample_run(min(count, left) if left else 1)
+            if not left:
+                self._refill_ops()
+            n = len(run)
+            keys.append(run)
+            gets.append(self._op_batch[self._op_pos : self._op_pos + n] < get_fraction)
+            self._op_pos += n
+            count -= n
+        return np.concatenate(keys), np.concatenate(gets)
 
     def _append_to_log(self, key: int) -> int:
         """Advance the circular log head by one item; returns its base block."""
@@ -167,3 +192,33 @@ class KvsWorkload(Workload):
             write_runs=[(base, p.item_blocks)],
             response_blocks=1,
         )
+
+    def encode_segment(
+        self, start: int, stop: int, cores: int, packet_blocks: int
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """One numpy pass over the segment (see ``Workload``). Every
+        request encodes to the row ``[1, g, 0, 1-g, response, bucket,
+        base, item_blocks]``: the bucket read, then the item as a read
+        run (GET, ``g = 1``) or a write run (SET). Appends move keys in
+        request order, so append mode keeps the per-request encoder."""
+        p = self.params
+        if not p.update_in_place:
+            return super().encode_segment(start, stop, cores, packet_blocks)
+        if not self._built:
+            raise ConfigError("KvsWorkload.build() was never called")
+        keys, is_get = self._draw(stop - start)
+        gets = int(np.count_nonzero(is_get))
+        self.gets += gets
+        self.sets += len(keys) - gets
+        g = is_get.astype(np.int64)
+        response = np.where(is_get, p.item_blocks, 1)
+        rows = np.empty((len(keys), 8), np.int64)
+        rows[:, 0] = 1
+        rows[:, 1] = g
+        rows[:, 2] = 0
+        rows[:, 3] = 1 - g
+        rows[:, 4] = response
+        rows[:, 5] = self._buckets.start_block + self._key_bucket[keys]
+        rows[:, 6] = self._log.start_block + self._key_offset[keys]
+        rows[:, 7] = p.item_blocks
+        return rows.ravel(), response + (1 + p.item_blocks + packet_blocks)

@@ -18,7 +18,7 @@ handed to the NIC and only the NIC-driven sweep applies.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -82,12 +82,15 @@ class L3fwdWorkload(Workload):
         self._pos = 0
         self._built = True
 
+    def _refill_lookups(self) -> None:
+        self._lookup_batch = self._rng.integers(
+            0, self._table_blocks, size=8192, dtype=np.int64
+        )
+        self._pos = 0
+
     def _next_lookup_block(self) -> int:
         if self._pos >= len(self._lookup_batch):
-            self._lookup_batch = self._rng.integers(
-                0, self._table_blocks, size=8192, dtype=np.int64
-            )
-            self._pos = 0
+            self._refill_lookups()
         block = self._table.start_block + int(self._lookup_batch[self._pos])
         self._pos += 1
         return block
@@ -100,3 +103,32 @@ class L3fwdWorkload(Workload):
         # Zero-copy NFs transmit the RX buffer itself: no TX copy blocks.
         response = 0 if p.zero_copy else p.packet_blocks
         return RequestOps(app_reads=reads, response_blocks=response)
+
+    def encode_segment(
+        self, start: int, stop: int, cores: int, packet_blocks: int
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """One numpy pass over the segment (see ``Workload``). Every
+        request encodes to the row ``[L, 0, 0, 0, response, r1..rL]``
+        of its ``L = lookups_per_packet`` table reads."""
+        if not self._built:
+            raise ConfigError("L3fwdWorkload.build() was never called")
+        p = self.params
+        count, lookups = stop - start, p.lookups_per_packet
+        need = count * lookups
+        parts: List[np.ndarray] = []
+        while need > 0:
+            if self._pos >= len(self._lookup_batch):
+                self._refill_lookups()
+            part = self._lookup_batch[self._pos : self._pos + need]
+            self._pos += len(part)
+            need -= len(part)
+            parts.append(part)
+        response = 0 if p.zero_copy else p.packet_blocks
+        rows = np.zeros((count, 5 + lookups), np.int64)
+        rows[:, 0] = lookups
+        rows[:, 4] = response
+        rows[:, 5:] = (self._table.start_block + np.concatenate(parts)).reshape(
+            count, lookups
+        )
+        touched = np.full(count, lookups + packet_blocks + response, np.int64)
+        return rows.ravel(), touched

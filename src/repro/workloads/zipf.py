@@ -64,6 +64,16 @@ class ZipfGenerator:
         self._pos += 1
         return item
 
+    def sample_run(self, limit: int) -> np.ndarray:
+        """The next ``1..limit`` item ids of the current batch: what as
+        many :meth:`sample` calls return. An exhausted batch is refilled
+        first, exactly where ``sample`` would refill it."""
+        if self._pos >= len(self._batch):
+            self._refill()
+        run = self._batch[self._pos : self._pos + limit]
+        self._pos += len(run)
+        return run
+
     def sample_many(self, count: int) -> np.ndarray:
         """Draw ``count`` item ids at once."""
         if count < 0:

@@ -34,10 +34,11 @@ from repro.engine import native, result_identity
 from repro.engine.batch import BatchHierarchy, build_hierarchy
 from repro.engine.tracer import (
     CollocationSimulator,
+    _FusedLoop,
     TraceConfig,
     TraceSimulator,
 )
-from repro.errors import ConfigError
+from repro.errors import ConfigError, ProtocolError
 from repro.experiments.common import ExperimentSettings
 from repro.mem.layout import RegionKind
 from repro.nic.arrivals import BurstProfile
@@ -421,10 +422,12 @@ def test_fused_loop_equivalence(name):
 
 
 @needs_kernel
-def test_instance_wrapper_sees_every_request():
-    """A wrapper on ``nic.process_one`` (per-layer tracing's contract)
-    forces the per-request loop: it runs once per simulated request,
-    and the result is the fused run's."""
+@pytest.mark.parametrize("attr", ["nic.process_one", "workload.request"])
+def test_instance_wrapper_sees_every_request(attr):
+    """A wrapper on ``nic.process_one`` or ``workload.request`` (both
+    are per-layer tracing's) forces the per-request loop: it runs once
+    per simulated request, and the result is the fused run's."""
+    owner_name, method = attr.split(".")
 
     def run(wrap):
         cfg = TraceConfig(
@@ -436,16 +439,45 @@ def test_instance_wrapper_sees_every_request():
             engine="batch",
         )
         sim = TraceSimulator(cfg)
+        owner = sim.nic if owner_name == "nic" else cfg.workload
         if wrap:
-            sim.nic.process_one = _passthrough(sim.nic.process_one)
-        return sim, sim.run()
+            setattr(owner, method, _passthrough(getattr(owner, method)))
+        return sim, sim.run(), owner
 
-    wrapped_sim, wrapped = run(wrap=True)
-    plain_sim, plain = run(wrap=False)
-    assert wrapped_sim.nic.process_one.calls == 150 + 250
+    wrapped_sim, wrapped, owner = run(wrap=True)
+    plain_sim, plain, _ = run(wrap=False)
+    assert getattr(owner, method).calls == 150 + 250
+    assert wrapped_sim._fused is None
     assert plain_sim._fused is not None
     _assert_results_equal(wrapped, plain)
     assert _loop_state(wrapped_sim) == _loop_state(plain_sim)
+
+
+@needs_kernel
+def test_fused_loop_rejects_malformed_op_buffer():
+    """``bc_run_requests`` stays inside its op buffer: a truncated
+    buffer, or a header that claims runs the buffer does not hold,
+    raises before any request runs."""
+    cfg = TraceConfig(
+        system=make_tiny_system(), workload=make_tiny_kvs(), engine="batch"
+    )
+    sim = TraceSimulator(cfg)
+    fused = _FusedLoop(sim)
+    ops, _ = cfg.workload.encode_segment(0, 3, 2, sim._packet_blocks)
+    # A view of all but the last int: the int past its end is valid
+    # memory, so only the bound keeps the kernel from reading it.
+    truncated = ops[:-1]
+    extra_run = ops.copy()
+    extra_run[-7] += 1  # the last request claims one more read run
+    middle = ops.copy()
+    middle[1] += 1  # the first request claims one more read run
+    before = (_loop_state(sim), sim.hier.stats_totals())
+    for bad in (truncated, extra_run, middle, ops[:4]):
+        with pytest.raises(ProtocolError, match="well-formed"):
+            fused.run(sim, 0, 3, None, bad)
+        assert (_loop_state(sim), sim.hier.stats_totals()) == before
+    fused.run(sim, 0, 3, None, ops)
+    assert sim.nic.transmissions == 3
 
 
 def test_manifest_records_engine(monkeypatch, tmp_path):

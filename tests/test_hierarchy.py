@@ -7,7 +7,8 @@ from repro.errors import ConfigError
 from repro.mem.layout import RegionKind
 from repro.traffic import MemCategory
 
-from tests.conftest import make_tiny_system
+from repro.engine.batch import build_hierarchy
+from tests.conftest import make_tiny_system, needs_kernel
 
 RX = RegionKind.RX_BUFFER
 TX = RegionKind.TX_BUFFER
@@ -230,6 +231,21 @@ class TestConfiguration:
         h.set_core_fill_mask(0, None)
         with pytest.raises(ConfigError):
             h.set_core_fill_mask(0, [12])
+
+    @pytest.mark.parametrize("engine", ["object", pytest.param("batch", marks=needs_kernel)])
+    def test_empty_masks_rejected_on_both_engines(self, engine):
+        """An empty mask leaves no way to insert into; the object engine
+        raised at the insert and the kernel dropped it, so the setters
+        refuse it and the masks stay as they were."""
+        h = build_hierarchy(make_tiny_system(), engine)
+        with pytest.raises(ConfigError, match="empty"):
+            h.set_ddio_way_mask([])
+        with pytest.raises(ConfigError, match="empty"):
+            h.set_core_fill_mask(0, [])
+        assert h.ddio_way_mask == (0, 1)
+        assert h._core_fill_masks[0] is None
+        h.nic_llc_write_run(0, range(100, 104), RegionKind.RX_BUFFER)
+        assert h.llc.stats.insertions == 4
 
     def test_core_fill_mask_confines_victim_fills(self):
         h = make_hier()

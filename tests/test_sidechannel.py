@@ -24,6 +24,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.cache.hierarchy import CacheHierarchy
@@ -274,6 +275,18 @@ def test_burst_depth_is_a_pure_function_of_the_index():
     assert set(forward) == {2, 10}  # both phases occur
     for w in range(0, 256, 8):  # constant within a window
         assert len({x for x in forward[w : w + 8]}) == 1
+
+
+@pytest.mark.parametrize("seed", [0, 3, 5, -7, 2**40])
+def test_burst_depths_match_depth(seed):
+    """The fused loop's vector ``depths`` is ``depth`` per index, also
+    where the hash's products exceed 64 bits."""
+    for window in (1, 12, 24):
+        profile = BurstProfile(low=2, high=30, window=window, seed=seed)
+        for start in (0, 12_345, 2**40 + 7, 2**62 - 3000):
+            got = profile.depths(start, start + 3000)
+            assert got.dtype == np.int64
+            assert got.tolist() == [profile.depth(i) for i in range(start, start + 3000)]
 
 
 # ----------------------------------------------------------------------

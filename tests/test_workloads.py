@@ -6,6 +6,7 @@ import pytest
 from repro.errors import ConfigError
 from repro.mem.layout import AddressSpace, RegionKind
 from repro.params import MiB
+from repro.workloads.base import Workload
 from repro.workloads.kvs import KvsParams, KvsWorkload
 from repro.workloads.l3fwd import L3fwdParams, L3fwdWorkload
 from repro.workloads.spiky import SpikyKvsWorkload
@@ -244,3 +245,102 @@ class TestSpikyKvs:
     def test_plain_workload_has_no_delay(self):
         wl = make_tiny_kvs()
         assert wl.extra_delay_us() == 0.0
+
+
+# ----------------------------------------------------------------------
+# encode_segment: the fused loop's vector encoders vs request()
+# ----------------------------------------------------------------------
+
+
+def _tiny_kvs(get_fraction, update_in_place=True):
+    return KvsWorkload(
+        KvsParams(
+            num_keys=4096,
+            num_buckets=1024,
+            log_bytes=1 << 20,
+            item_bytes=256,
+            get_fraction=get_fraction,
+            update_in_place=update_in_place,
+        )
+    )
+
+
+def _tiny_l3fwd(zero_copy, lookups):
+    return L3fwdWorkload(
+        L3fwdParams(
+            num_rules=512,
+            packet_blocks=4,
+            zero_copy=zero_copy,
+            lookups_per_packet=lookups,
+        )
+    )
+
+
+ENCODERS = {
+    "kvs-get0": lambda: _tiny_kvs(0.0),
+    "kvs-get0.05": lambda: _tiny_kvs(0.05),
+    "kvs-get1": lambda: _tiny_kvs(1.0),
+    "kvs-append-get0.05": lambda: _tiny_kvs(0.05, update_in_place=False),
+    "kvs-append-get1": lambda: _tiny_kvs(1.0, update_in_place=False),
+    "spiky-kvs": lambda: SpikyKvsWorkload(_tiny_kvs(0.05).params),
+    "l3fwd-copy-1": lambda: _tiny_l3fwd(False, 1),
+    "l3fwd-copy-2": lambda: _tiny_l3fwd(False, 2),
+    "l3fwd-zero-copy-1": lambda: _tiny_l3fwd(True, 1),
+    "l3fwd-zero-copy-2": lambda: _tiny_l3fwd(True, 2),
+}
+
+#: request counts at which a batch runs out: the zipf batch (65,536
+#: keys), the GET/SET batch (8,192 flags) and the L3fwd lookup batch
+#: (8,192 reads, 4,096 requests at two lookups each)
+_REFILLS = (4096, 8192, 12288, 16384, 65536, 73728)
+
+
+def _segment_cuts(total, seed):
+    """Segment ends over ``total`` requests: random lengths, segments of
+    length 1, and segments ending exactly on, one before and one after
+    each refill boundary."""
+    rng = np.random.default_rng(seed)
+    cuts = {1, 2, total}
+    for b in _REFILLS:
+        cuts.update((b - 1, b, b + 1))
+    at = 0
+    while at < total:
+        at += int(rng.integers(1, 3000))
+        cuts.add(at)
+    return sorted(c for c in cuts if 0 < c <= total)
+
+
+def _encoder_state(w):
+    zipf = getattr(w, "_zipf", None)
+    return {
+        "rng": w._rng.bit_generator.state,
+        "zipf": None if zipf is None else (zipf._batch, zipf._pos),
+        "ops": (getattr(w, "_op_batch", None), getattr(w, "_op_pos", None)),
+        "lookups": (getattr(w, "_lookup_batch", None), getattr(w, "_pos", None)),
+        "counts": (getattr(w, "gets", None), getattr(w, "sets", None)),
+        "log": (getattr(w, "_key_offset", None), getattr(w, "_log_head", None)),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(ENCODERS))
+def test_encode_segment_matches_per_request(name):
+    """Segments crossing every batch refill encode to the base-class
+    per-request buffer, and leave the RNG, batches, cursors and counters
+    where ``request()`` calls leave them (warm snapshots pickle them)."""
+    cores, packet_blocks, total = 3, 4, 74_000
+    _, vector = built(ENCODERS[name](), cores=cores, seed=9)
+    _, twin = built(ENCODERS[name](), cores=cores, seed=9)
+    start = 0
+    for stop in _segment_cuts(total, seed=len(name)):
+        ops, touched = vector.encode_segment(start, stop, cores, packet_blocks)
+        ref_ops, ref_touched = Workload.encode_segment(
+            twin, start, stop, cores, packet_blocks
+        )
+        assert ops.dtype == touched.dtype == np.int64
+        np.testing.assert_array_equal(ops, ref_ops, err_msg=f"{start}..{stop}")
+        np.testing.assert_array_equal(touched, ref_touched)
+        start = stop
+    assert start == total
+    np.testing.assert_equal(_encoder_state(vector), _encoder_state(twin))
+    if isinstance(vector, KvsWorkload):
+        assert vector.gets + vector.sets == total
