@@ -8,76 +8,47 @@ DDIO gets A ways, the analytics tenant the remaining 12-A. The script
 sweeps the partition point and prints the Pareto frontier with and
 without Sweeper — Sweeper's frontier dominates, so *both* tenants win.
 
+Each configuration is one of Figure 9's collocated points, so it runs
+through the point cache and leaves a run manifest like any figure.
+
 Run:  python examples/nf_collocation.py [scale]
 """
 
-import dataclasses
 import sys
 
-from repro.engine.analytic import ServiceProfile, solve_collocated
-from repro.engine.tracer import CollocationSimulator, TraceConfig
-from repro.experiments.common import kvs_system, l3fwd_workload
+from repro.engine.parallel import run_points
+from repro.experiments.common import ExperimentSettings
+from repro.experiments.fig9 import clamp, collocated_point, collocated_spec
 from repro.report.tables import Table
-from repro.traffic import MemCategory
-from repro.workloads.xmem import XMemWorkload
 
 PARTITIONS = ((2, 10), (4, 8), (6, 6), (8, 4))
 
 
-def evaluate(scale, ddio_ways, sweeper):
-    system = kvs_system(scale, 2048, ddio_ways, 1024)
-    cores = system.cpu.num_cores
-    xmem_cores = list(range(cores // 2, cores))
-    cfg = TraceConfig(
-        system=system,
-        workload=l3fwd_workload(1024, l1_resident=True),
-        policy="ddio",
-        sweeper=sweeper,
-    )
-    sim = CollocationSimulator(
-        cfg, XMemWorkload(), xmem_cores,
-        xmem_ways_mask=list(range(ddio_ways, 12)),
-    )
-    for core in range(cores - len(xmem_cores)):
-        sim.hier.set_core_fill_mask(core, list(range(ddio_ways)))
-    colo = sim.run_collocated()
-    trace = colo.nf_result
-    per = trace.per_request()
-    app = per[MemCategory.CPU_OTHER_RD] + per[MemCategory.OTHER_EVCT]
-    nf_profile = dataclasses.replace(
-        ServiceProfile.from_trace(trace),
-        mem_blocks_total=trace.mem_accesses_per_request() - app,
-    )
-    xmem_blocks = app * trace.requests / max(colo.xmem_accesses, 1)
-    return solve_collocated(
-        nf_profile,
-        colo.xmem_level_counts,
-        xmem_blocks,
-        system,
-        nf_cores=cores - len(xmem_cores),
-        xmem_cores=len(xmem_cores),
-    )
-
-
 def main() -> int:
     scale = float(sys.argv[1]) if len(sys.argv) > 1 else 0.1
-    scale = max(scale, 2.01 / 24)  # need one core per tenant
+    settings = clamp(ExperimentSettings(scale))
+    keys = [(a, b, sweeper) for a, b in PARTITIONS for sweeper in (False, True)]
+    specs = [
+        collocated_spec(settings, a, sweeper, partitioned=True)
+        for a, _b, sweeper in keys
+    ]
     table = Table(
         ["(DDIO, X-Mem) ways", "Sweeper", "L3fwd Mrps (full-scale)",
          "X-Mem IPC"],
         title="Collocation Pareto frontier (paper Figure 9a)",
     )
     results = {}
-    for a, b in PARTITIONS:
-        for sweeper in (False, True):
-            perf = evaluate(scale, a, sweeper)
-            results[(a, sweeper)] = perf
-            table.add_row(
-                f"({a},{b})",
-                "yes" if sweeper else "no",
-                perf.nf_throughput_mrps / scale,
-                perf.xmem_ipc,
-            )
+    for (a, b, sweeper), spec, point in zip(
+        keys, specs, run_points(specs, run_label="nf_collocation")
+    ):
+        perf = collocated_point(spec, point).perf
+        results[(a, sweeper)] = perf
+        table.add_row(
+            f"({a},{b})",
+            "yes" if sweeper else "no",
+            perf.nf_throughput_mrps / settings.scale,
+            perf.xmem_ipc,
+        )
     print(table.render())
 
     a = 4

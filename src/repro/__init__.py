@@ -41,7 +41,7 @@ from repro.nic.rings import RxRing, TxRing
 from repro.nic.qp import NicEngine, QueuePair, WorkQueueEntry
 from repro.workloads.kvs import KvsParams, KvsWorkload
 from repro.workloads.l3fwd import L3fwdParams, L3fwdWorkload
-from repro.workloads.xmem import XMemParams, XMemWorkload
+from repro.workloads.xmem import Colocation, XMemParams, XMemWorkload
 from repro.workloads.spiky import SpikyKvsWorkload
 from repro.engine.tracer import (
     CollocationSimulator,
@@ -71,6 +71,7 @@ __all__ = [
     "CACHE_BLOCK_BYTES",
     "CacheHierarchy",
     "CacheParams",
+    "Colocation",
     "CollocationSimulator",
     "CpuParams",
     "DdioPolicy",

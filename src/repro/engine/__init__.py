@@ -1,6 +1,6 @@
 """Simulation engines: trace-driven cache layer, analytic solver, events."""
 
-from repro.engine.tracer import CollocationResult, TraceConfig, TraceResult, TraceSimulator
+from repro.engine.tracer import TraceConfig, TraceResult, TraceSimulator
 from repro.engine.analytic import (
     PerfPoint,
     ServiceProfile,
@@ -13,7 +13,6 @@ from repro.engine.dynamic import DynamicWaysSimulator
 from repro.engine.provenance import result_identity
 
 __all__ = [
-    "CollocationResult",
     "DropSimResult",
     "DynamicWaysSimulator",
     "FiniteRingSimulator",

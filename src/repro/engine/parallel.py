@@ -18,10 +18,7 @@ one execution core that ``run_points``, the serve daemon
   to in-flight attempts and fresh submits, with retries, timeouts,
   warmup-group holds and a point-boundary interrupt;
 * :func:`run_points` — run a spec list, preserving order, across
-  ``REPRO_WORKERS`` workers (1 = the deterministic serial path);
-* :func:`run_tasks` — the same fan-out for arbitrary picklable
-  functions (used by the collocation study, whose results are not
-  :class:`PointResult` objects).
+  ``REPRO_WORKERS`` workers (1 = the deterministic serial path).
 
 Results are memoized through :mod:`repro.engine.pointcache` unless
 ``REPRO_NO_CACHE=1``. The process that owns a run is the one that reads
@@ -63,7 +60,6 @@ from concurrent.futures import (
     Future,
     ProcessPoolExecutor,
     ThreadPoolExecutor,
-    as_completed,
 )
 from concurrent.futures import wait as futures_wait
 from concurrent.futures.process import BrokenProcessPool
@@ -76,8 +72,8 @@ from typing import (
     List,
     Optional,
     Sequence,
+    Set,
     Tuple,
-    TypeVar,
 )
 
 from repro.engine import faults, pointcache, snapshot
@@ -91,8 +87,7 @@ from repro.params import SystemConfig
 from repro.sched.tenants import DEFAULT_TENANT
 from repro.sidechannel.observer import ObserverConfig
 from repro.workloads.base import Workload
-
-T = TypeVar("T")
+from repro.workloads.xmem import Colocation
 
 #: default attempts-after-the-first for a failing point.
 DEFAULT_RETRIES = 2
@@ -155,9 +150,10 @@ def point_timeout_s() -> Optional[float]:
     """Straggler timeout from ``REPRO_POINT_TIMEOUT_S`` (None = off).
 
     An attempt exceeding the timeout, counted from its submission, is
-    abandoned (the worker finishes in the background; its result is
-    discarded) and the point rescheduled, charging one attempt. With
-    one worker thread the retry queues behind the abandoned attempt.
+    abandoned and the point rescheduled, charging one attempt. The
+    abandoned attempt stays a candidate: whichever of the point's
+    attempts returns a result first resolves it, and the rest are
+    cancelled or ignored.
     """
     env = os.environ.get("REPRO_POINT_TIMEOUT_S", "").strip()
     if not env:
@@ -202,14 +198,18 @@ class PointSpec:
     #: lets a way-mask sweep share one warmup snapshot; see
     #: :class:`repro.engine.tracer.TraceConfig`.
     measure_ddio_ways: Optional[int] = None
+    #: the X-Mem tenant sharing the LLC (None = the NF alone); runs the
+    #: point on a :class:`repro.engine.tracer.CollocationSimulator`.
+    colocation: Optional[Colocation] = None
 
     def cache_key(self) -> str:
         """Deterministic identity of the simulation's inputs.
 
         The label is presentation-only and deliberately excluded;
         :func:`run_cached_spec` re-stamps it on cache hits. The
-        observer, burst, and measure-override lines are appended only
-        when set, so every pre-existing fingerprint layout is unchanged.
+        observer, burst, measure-override and colocation lines are
+        appended only when set, so every pre-existing fingerprint layout
+        is unchanged.
         """
         key = "\n".join(
             (
@@ -234,6 +234,8 @@ class PointSpec:
             key += "\nburst=" + repr(self.burst)
         if self.measure_ddio_ways is not None:
             key += "\nmeasure_ddio_ways=" + repr(self.measure_ddio_ways)
+        if self.colocation is not None:
+            key += "\ncolocation=" + repr(self.colocation)
         return key
 
     def warmup_key(self) -> str:
@@ -241,10 +243,10 @@ class PointSpec:
 
         Everything that influences simulator state through the last
         warmup request — system, workload, policy, switches, seed,
-        warmup count, burst profile — and nothing that only shapes the
-        measured window (measure count, measure-phase DDIO override,
-        observer, label). Two specs with equal warmup keys fork their
-        measured windows off one shared warm-state snapshot
+        warmup count, burst profile, colocation — and nothing that only
+        shapes the measured window (measure count, measure-phase DDIO
+        override, observer, label). Two specs with equal warmup keys
+        fork their measured windows off one shared warm-state snapshot
         (:mod:`repro.engine.snapshot`). Any field added to this key
         must be added to :meth:`cache_key` too (the point identity
         must always subsume the warmup identity).
@@ -267,6 +269,8 @@ class PointSpec:
         )
         if self.burst is not None:
             key += "\nburst=" + repr(self.burst)
+        if self.colocation is not None:
+            key += "\ncolocation=" + repr(self.colocation)
         return key
 
 
@@ -290,7 +294,11 @@ def run_spec(spec: PointSpec, run_dir: Optional[str] = None):
     the manifest-relative path.
     """
     from repro.engine.analytic import ServiceProfile, solve_peak_throughput
-    from repro.engine.tracer import TraceConfig, TraceSimulator
+    from repro.engine.tracer import (
+        CollocationSimulator,
+        TraceConfig,
+        TraceSimulator,
+    )
     from repro.experiments.common import PointResult
 
     log = obs_events.get_event_log()
@@ -312,7 +320,10 @@ def run_spec(spec: PointSpec, run_dir: Optional[str] = None):
     log.debug("point.simulate", label=spec.label, pid=os.getpid())
     faults.on_point_start(spec.label)
     start = time.perf_counter()
-    sim = TraceSimulator(cfg, obs=obs)
+    if spec.colocation is not None:
+        sim = CollocationSimulator(cfg, spec.colocation, obs=obs)
+    else:
+        sim = TraceSimulator(cfg, obs=obs)
     # Warm-state snapshots (DESIGN.md §14): a snapshot miss arms the
     # on_warm capture hook; a hit skips the warmup entirely. Failures
     # anywhere on the snapshot path must never fail the point.
@@ -501,6 +512,9 @@ def _point_record(
             spec.observer.probe_seed if spec.observer is not None else None
         ),
         burst=repr(spec.burst) if spec.burst is not None else None,
+        colocation=(
+            repr(spec.colocation) if spec.colocation is not None else None
+        ),
         status=status,
         error=error,
         attempts=max(1, attempts),
@@ -615,8 +629,10 @@ def run_attempts(
       an owner's cancel) is not charged and is rescheduled.
     * With ``timeout``, an owned attempt older than it, counted from
       submission, is cancelled if it never started (not charged) or
-      abandoned if it did (charged; the worker finishes in the
-      background and ``on_abandon`` is told).
+      abandoned if it did (charged; ``on_abandon`` is told). An
+      abandoned attempt stays a candidate: the first of the point's
+      attempts to return a result resolves it, the others are
+      cancelled or ignored, so ``on_done`` runs once per point.
     * Followers of a warmup group (:func:`snapshot.warmup_groups`) are
       held until their leader resolves, so one attempt simulates the
       shared warmup and the followers restore it. A leader is never
@@ -636,9 +652,28 @@ def run_attempts(
     ready = [i for i in range(len(specs)) if i not in held]  # a heap
     delayed: List[Tuple[float, int]] = []
     pending: Dict[Future, Tuple[int, str, float]] = {}
+    # An abandoned straggler stays in ``pending`` as an "abandoned"
+    # candidate. One that returns a result cancels its point's later
+    # owned attempts from its done-callback, which runs on the worker
+    # thread before a 1-worker pool can start the next queued one; the
+    # lock orders that callback against ``acquire``.
+    lock = threading.Lock()
+    rivals: Dict[int, List[Future]] = {}  # later owned attempts, by point
+    won: Set[int] = set()  # points whose straggler returned a result
     stopping = False
 
+    def straggler_done(i: int, fut: Future) -> None:
+        if not fut.cancelled() and fut.exception() is None:
+            with lock:
+                won.add(i)
+                for rival in rivals[i]:
+                    rival.cancel()
+
     def release(i: int) -> None:
+        if i in rivals:  # a straggler's point: its other attempts go
+            for fut in [f for f, entry in pending.items() if entry[0] == i]:
+                if pending.pop(fut)[1] == "simulated":
+                    fut.cancel()
         for j in holds.pop(i, ()):
             heapq.heappush(ready, j)
 
@@ -668,7 +703,7 @@ def run_attempts(
             for fut, (i, source, _) in list(pending.items()):
                 if source == "simulated" and fut.cancel():
                     attempts[i] -= 1
-                elif fut.running() or fut.done():
+                elif source != "abandoned" and (fut.running() or fut.done()):
                     continue  # already running: recorded when it ends
                 del pending[fut]
         now = time.monotonic()
@@ -679,8 +714,13 @@ def run_attempts(
             owned = sum(s == "simulated" for _, s, _ in pending.values())
             while ready and (capacity is None or owned < capacity):
                 i = heapq.heappop(ready)
-                attempts[i] += 1
-                source, value = acquire(i)
+                with lock:
+                    if results[i] is not None or i in won:
+                        continue  # resolved by its straggler (maybe below)
+                    attempts[i] += 1
+                    source, value = acquire(i)
+                    if i in rivals and source == "simulated":
+                        rivals[i].append(value)
                 if source == "cache":
                     succeed(i, source, value)
                     continue
@@ -701,15 +741,22 @@ def run_attempts(
         done, _ = futures_wait(
             list(pending), timeout=0.05, return_when=FIRST_COMPLETED
         )
-        for fut in done:
+        # Stragglers first: one that returned a result resolves its
+        # point, so the attempt it cancelled is not rescheduled.
+        for fut in sorted(done, key=lambda f: pending[f][1] != "abandoned"):
+            if fut not in pending:
+                continue  # dropped: its point resolved in this batch
             i, source, _ = pending.pop(fut)
             try:
                 result = fut.result()
             except CancelledError:
                 fail(i, "cancelled before start", charge=False)
             except Exception as exc:
-                fail(i, f"{type(exc).__name__}: {exc}", charge=True)
+                if source != "abandoned":  # charged at its timeout
+                    fail(i, f"{type(exc).__name__}: {exc}", charge=True)
             else:
+                if source == "abandoned":
+                    source = "simulated"
                 succeed(i, source, result)
         if timeout is None:
             continue
@@ -727,6 +774,11 @@ def run_attempts(
                 + ("" if cancelled else " (worker abandoned)"),
                 charge=not cancelled,
             )
+            if not cancelled and i not in errors and not stopping:
+                pending[fut] = (i, "abandoned", submitted)
+                with lock:
+                    rivals.setdefault(i, [])
+                fut.add_done_callback(lambda f, i=i: straggler_done(i, f))
 
 
 def cached_result(spec: PointSpec, fp: str):
@@ -890,39 +942,3 @@ def run_points(
             errors,
         )
     return results
-
-
-def run_tasks(
-    fn: Callable[..., T],
-    args_list: Sequence[Tuple],
-    max_workers: Optional[int] = None,
-    run_label: Optional[str] = None,
-) -> List[T]:
-    """Fan out ``fn(*args)`` over a task list, preserving order.
-
-    ``fn`` must be a module-level (picklable) function and every args
-    tuple picklable. Not point-cached, not manifested, and not retried —
-    use :func:`run_points` for standard grid points. Progress events
-    still flow through the event log.
-    """
-    tasks = list(args_list)
-    if not tasks:
-        return []
-    workers = max_workers if max_workers is not None else default_workers()
-    workers = min(workers, len(tasks))
-    log = obs_events.get_event_log()
-    log.info(
-        "tasks.start", run=run_label or "-", tasks=len(tasks), workers=workers
-    )
-    pool = PointPool(workers)
-    try:
-        futures = {pool.submit(fn, *args): i for i, args in enumerate(tasks)}
-        ordered: List[T] = [None] * len(tasks)  # type: ignore[list-item]
-        for done, future in enumerate(as_completed(futures), 1):
-            ordered[futures[future]] = future.result()
-            log.info(
-                "task.finish", run=run_label or "-", done=f"{done}/{len(tasks)}"
-            )
-        return ordered
-    finally:
-        pool.shutdown()

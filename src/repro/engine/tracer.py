@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import ctypes
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -62,6 +62,7 @@ from repro.params import SystemConfig
 from repro.sidechannel.observer import ObserverConfig, PrimeProbeObserver
 from repro.traffic import MemCategory, TrafficCounter
 from repro.workloads.base import Workload
+from repro.workloads.xmem import Colocation, XMemWorkload
 
 
 @dataclass
@@ -142,6 +143,10 @@ class TraceResult:
     #: side-channel leak digest (:func:`repro.sidechannel.leak_summary`)
     #: when an observer ran; None for observer-off points.
     leak: Optional[Dict[str, object]] = None
+    #: the collocated X-Mem tenant's accesses and their service levels
+    #: (:class:`CollocationSimulator`); 0 and empty otherwise.
+    xmem_accesses: int = 0
+    xmem_level_counts: Dict[AccessLevel, int] = field(default_factory=dict)
 
     def per_request(self) -> Dict[MemCategory, float]:
         """Memory accesses per request by category (the figure's bars)."""
@@ -818,56 +823,46 @@ class TraceSimulator:
             sampler.sample(done)
 
 
-@dataclass
-class CollocationResult:
-    """Measurements for the network tenant + X-Mem tenant pair (§VI-E)."""
-
-    nf_result: TraceResult
-    xmem_accesses: int
-    xmem_level_counts: Dict[AccessLevel, int] = field(default_factory=dict)
-
-    def xmem_levels_per_access(self) -> Dict[AccessLevel, float]:
-        return {
-            lv: n / self.xmem_accesses for lv, n in self.xmem_level_counts.items()
-        }
+#: X-Mem accesses issued per tick, one burst before each NF request
+XMEM_ACCESSES_PER_TICK = 24
 
 
 class CollocationSimulator(TraceSimulator):
-    """L3fwd on half the cores, X-Mem on the other half (§VI-E).
+    """L3fwd on the lower half of the cores, X-Mem on the upper half
+    (§VI-E).
 
-    ``ddio_ways_mask`` and ``xmem_ways_mask`` implement the two
-    partitioning scenarios of Figure 9: disjoint partitions (A, B) or
-    overlapping ones (X-Mem over the whole LLC).
+    ``colocation`` sets the X-Mem dataset and each tenant's LLC fill
+    ways, which implement the two partitioning scenarios of Figure 9:
+    disjoint partitions (A, B) or overlapping ones (X-Mem over the
+    whole LLC). ``run`` adds the X-Mem counts to the NF's result.
     """
 
     def __init__(
         self,
         cfg: TraceConfig,
-        xmem_workload,
-        xmem_cores: List[int],
-        xmem_ways_mask: Optional[List[int]] = None,
-        xmem_accesses_per_request: int = 24,
+        colocation: Colocation,
+        obs: Optional[ObsContext] = None,
     ) -> None:
-        super().__init__(cfg)
-        self.xmem = xmem_workload
-        self.xmem_cores = list(xmem_cores)
-        self.nf_cores = [
-            c
-            for c in range(cfg.system.cpu.num_cores)
-            if c not in set(xmem_cores)
-        ]
+        super().__init__(cfg, obs=obs)
+        cores = cfg.system.cpu.num_cores
+        self.nf_cores = list(range(cores // 2))
+        self.xmem_cores = list(range(cores // 2, cores))
         if not self.nf_cores:
             raise ConfigError("collocation needs at least one NF core")
+        self.xmem = XMemWorkload(colocation.xmem)
         self.xmem.build(self.space, self.xmem_cores, rng=np.random.default_rng(29))
-        if xmem_ways_mask is not None:
-            for core in self.xmem_cores:
-                self.hier.set_core_fill_mask(core, xmem_ways_mask)
-        self.xmem_accesses_per_request = xmem_accesses_per_request
+        for tenant, ways in (
+            (self.xmem_cores, colocation.xmem_ways),
+            (self.nf_cores, colocation.nf_ways),
+        ):
+            if ways is not None:
+                for core in tenant:
+                    self.hier.set_core_fill_mask(core, ways)
         self._xmem_levels: Dict[AccessLevel, int] = {lv: 0 for lv in AccessLevel}
         self._xmem_total = 0
 
     def _xmem_tick(self, core: int) -> None:
-        blocks, writes = self.xmem.accesses(core, self.xmem_accesses_per_request)
+        blocks, writes = self.xmem.accesses(core, XMEM_ACCESSES_PER_TICK)
         self._xmem_total += self.hier.cpu_access_batch(
             core, blocks, writes, RegionKind.APP, self._xmem_levels
         )
@@ -905,10 +900,8 @@ class CollocationSimulator(TraceSimulator):
         self._xmem_levels = {lv: 0 for lv in AccessLevel}
         self._xmem_total = 0
 
-    def run_collocated(self) -> CollocationResult:
-        nf_result = self.run()
-        return CollocationResult(
-            nf_result=nf_result,
-            xmem_accesses=self._xmem_total,
-            xmem_level_counts=dict(self._xmem_levels),
-        )
+    def run(self, warm_state=None, on_warm=None) -> TraceResult:
+        result = super().run(warm_state=warm_state, on_warm=on_warm)
+        result.xmem_accesses = self._xmem_total
+        result.xmem_level_counts = dict(self._xmem_levels)
+        return result

@@ -48,9 +48,9 @@ REGISTRY = {
 
 #: experiment id -> callable(settings) -> List[PointSpec]. The servable
 #: subset of REGISTRY: experiments whose work is a grid of PointSpecs
-#: that `repro.serve` can build by name and fan out point-by-point
-#: (fig9 runs arbitrary tasks and table1 is analytic-only, so neither
-#: is servable).
+#: that `repro.serve` can build by name and fan out point-by-point.
+#: fig9 has a spec builder too (``fig9.specs``) but is not registered
+#: here yet, and table1 is analytic-only; see UNSERVABLE.
 SPEC_BUILDERS = {
     "fig1": fig1.specs,
     "fig2": fig2.specs,
@@ -65,18 +65,19 @@ SPEC_BUILDERS = {
     "zoo": zoo.specs,
 }
 
-#: experiment id -> why `repro.serve` refuses it by design (HTTP 400
-#: naming the reason, instead of the generic unknown-experiment error).
-#: Everything in REGISTRY is either here or in SPEC_BUILDERS — the
-#: figS* observer experiments are servable: their PointSpecs carry the
-#: observer/burst knobs, so served runs reproduce local ones
-#: bit-identically (probe seed and all).
+#: experiment id -> why `repro.serve` refuses it (HTTP 400 naming the
+#: reason, instead of the generic unknown-experiment error). Everything
+#: in REGISTRY is either here or in SPEC_BUILDERS — the figS* observer
+#: experiments are servable: their PointSpecs carry the observer/burst
+#: knobs, so served runs reproduce local ones bit-identically (probe
+#: seed and all). fig9's points are PointSpecs, but the benchmark draws
+#: its point population from SPEC_BUILDERS and looks each point's
+#: reference time up in sweepbench/points.json, which has no fig9
+#: entries; registering fig9 waits for a change that regenerates it.
 UNSERVABLE = {
     "fig9": (
-        "the collocation study simulates two tenants inside one shared "
-        "CollocationSimulator per point (run_tasks over closures), not "
-        "independent PointSpecs, so its points cannot be fanned out, "
-        "cached, or deduped by the point scheduler"
+        "not yet registered: its collocated PointSpecs (fig9.specs) "
+        "need reference entries in the benchmark's points.json first"
     ),
     "table1": (
         "analytic-only (closed-form model, no trace simulation to "

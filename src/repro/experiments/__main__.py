@@ -97,8 +97,7 @@ def main(argv=None) -> int:
         if args.emit_timeline:
             run_dir = last_run_dir()
             if run_dir is None or run_dir == before:
-                # fig9 fans out via run_tasks (no manifest); table1 is
-                # analytic-only — neither produces a run directory.
+                # table1 is analytic-only: it produces no run directory.
                 print(f"{exp_id}: no new run directory to summarize")
             else:
                 print(summarize_run(run_dir))

@@ -245,6 +245,7 @@ def point_spec(
     burst=None,
     measure_requests: Optional[int] = None,
     measure_ddio_ways: Optional[int] = None,
+    colocation=None,
 ) -> PointSpec:
     """Describe one grid point as a picklable, cacheable spec.
 
@@ -255,7 +256,7 @@ def point_spec(
     the default measure window provides). ``measure_ddio_ways`` narrows
     or widens the DDIO way mask at the warmup->measure boundary only —
     the knob that lets a way-mask sweep share one warmup snapshot
-    (DESIGN.md §14).
+    (DESIGN.md §14). ``colocation`` adds the X-Mem tenant of Figure 9.
     """
     settings = settings if settings is not None else ExperimentSettings()
     if measure_requests is None:
@@ -282,6 +283,7 @@ def point_spec(
         observer=observer,
         burst=burst,
         measure_ddio_ways=measure_ddio_ways,
+        colocation=colocation,
     )
 
 

@@ -19,28 +19,30 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional
 
 from repro.engine.analytic import (
     CollocatedPerf,
     ServiceProfile,
     solve_collocated,
 )
-from repro.engine.parallel import run_tasks
-from repro.engine.tracer import CollocationSimulator, TraceConfig
+from repro.engine.parallel import PointSpec, run_points
 from repro.experiments.common import (
     ExperimentSettings,
     FigureResult,
+    PointResult,
     kvs_system,
     l3fwd_workload,
+    point_spec,
 )
 from repro.traffic import MemCategory
-from repro.workloads.xmem import XMemWorkload
+from repro.workloads.xmem import Colocation
 
 PARTITIONS_9A = ((2, 10), (4, 8), (6, 6), (8, 4), (10, 2))
 OVERLAP_WAYS_9B = (2, 4, 6, 8, 10, 12)
 PACKET_BYTES = 1024
 RX_BUFFERS = 2048
+LLC_WAYS = 12
 
 
 @dataclass
@@ -56,58 +58,75 @@ class CollocationPoint:
     xmem_blocks_per_access: float
 
 
-def _run_collocated(
-    settings: ExperimentSettings,
-    ddio_ways: int,
-    xmem_mask: Optional[List[int]],
-    nf_mask: Optional[List[int]],
-    sweeper: bool,
-) -> CollocationPoint:
-    system = kvs_system(settings.scale, RX_BUFFERS, ddio_ways, PACKET_BYTES)
-    cores = system.cpu.num_cores
-    xmem_cores = list(range(cores // 2, cores))
-    nf_cores_n = cores - len(xmem_cores)
-    cfg = TraceConfig(
-        system=system,
-        workload=l3fwd_workload(PACKET_BYTES, l1_resident=True),
-        policy="ddio",
-        sweeper=sweeper,
-    )
-    cfg.measure_requests = settings.measure_requests(cfg)
-    sim = CollocationSimulator(
-        cfg, XMemWorkload(), xmem_cores, xmem_ways_mask=xmem_mask
-    )
-    if nf_mask is not None:
-        for core in range(nf_cores_n):
-            sim.hier.set_core_fill_mask(core, nf_mask)
-    colo = sim.run_collocated()
-    trace = colo.nf_result
+def clamp(settings: ExperimentSettings) -> ExperimentSettings:
+    """Collocation needs at least one core per tenant: clamp the scale
+    so the shrunken machine still has two cores."""
+    return dataclasses.replace(settings, scale=max(settings.scale, 2.01 / 24))
 
+
+def collocated_spec(
+    settings: ExperimentSettings, ddio_ways: int, sweeper: bool, partitioned: bool
+) -> PointSpec:
+    """One collocated point: DDIO gets ``ddio_ways`` ways and X-Mem the
+    rest (9a), or X-Mem shares the whole LLC (9b)."""
+    colocation = Colocation()
+    if partitioned:
+        colocation = Colocation(
+            xmem_ways=tuple(range(ddio_ways, LLC_WAYS)),
+            nf_ways=tuple(range(ddio_ways)),
+        )
+    xmem_ways = LLC_WAYS - ddio_ways if partitioned else "overlap"
+    return point_spec(
+        f"DDIO {ddio_ways} ways / X-Mem {xmem_ways} ways"
+        + (" + Sweeper" if sweeper else ""),
+        kvs_system(settings.scale, RX_BUFFERS, ddio_ways, PACKET_BYTES),
+        l3fwd_workload(PACKET_BYTES, l1_resident=True),
+        "ddio",
+        sweeper=sweeper,
+        settings=settings,
+        colocation=colocation,
+    )
+
+
+def specs(settings: ExperimentSettings) -> List[PointSpec]:
+    """The 22 collocated points: 9a's partitions, then 9b's overlaps."""
+    settings = clamp(settings)
+    return [
+        collocated_spec(settings, a, sweeper, partitioned=True)
+        for a, _b in PARTITIONS_9A
+        for sweeper in (False, True)
+    ] + [
+        collocated_spec(settings, ways, sweeper, partitioned=False)
+        for ways in OVERLAP_WAYS_9B
+        for sweeper in (False, True)
+    ]
+
+
+def collocated_point(spec: PointSpec, result: PointResult) -> CollocationPoint:
+    """Solve the joint NF + X-Mem operating point of a simulated spec."""
+    cores = spec.system.cpu.num_cores
+    trace = result.trace
     per_req = trace.per_request()
     app = per_req[MemCategory.CPU_OTHER_RD] + per_req[MemCategory.OTHER_EVCT]
     nf_blocks = trace.mem_accesses_per_request() - app
     nf_profile = dataclasses.replace(
         ServiceProfile.from_trace(trace), mem_blocks_total=nf_blocks
     )
-    xmem_blocks = app * trace.requests / max(colo.xmem_accesses, 1)
+    xmem_blocks = app * trace.requests / max(trace.xmem_accesses, 1)
     perf = solve_collocated(
         nf_profile,
-        colo.xmem_level_counts,
+        trace.xmem_level_counts,
         xmem_blocks,
-        system,
-        nf_cores=nf_cores_n,
-        xmem_cores=len(xmem_cores),
+        spec.system,
+        nf_cores=cores // 2,
+        xmem_cores=cores - cores // 2,
     )
-    label = (
-        f"DDIO {ddio_ways} ways / "
-        f"X-Mem {'overlap' if xmem_mask is None else len(xmem_mask)} ways"
-        + (" + Sweeper" if sweeper else "")
-    )
+    xmem_ways = spec.colocation.xmem_ways
     return CollocationPoint(
-        label=label,
-        ddio_ways=ddio_ways,
-        xmem_ways=None if xmem_mask is None else len(xmem_mask),
-        sweeper=sweeper,
+        label=spec.label,
+        ddio_ways=spec.system.nic.ddio_ways,
+        xmem_ways=None if xmem_ways is None else len(xmem_ways),
+        sweeper=spec.sweeper,
         perf=perf,
         nf_blocks_per_request=nf_blocks,
         xmem_blocks_per_access=xmem_blocks,
@@ -121,44 +140,18 @@ def run(
     settings = settings or ExperimentSettings.from_env()
     if scale is not None:
         settings = ExperimentSettings(scale, settings.measure_multiplier)
-    # Collocation needs at least one core per tenant; clamp the scale so
-    # the shrunken machine still has two cores.
-    min_scale = 2.01 / 24.0
-    if settings.scale < min_scale:
-        settings = ExperimentSettings(min_scale, settings.measure_multiplier)
+    settings = clamp(settings)
     result = FigureResult(
         figure="Figure 9",
         title="Collocated L3fwd + X-Mem performance",
         scale=settings.scale,
     )
-
-    # Every collocated point is independent, so both panels fan out
-    # through the generic task runner (_run_collocated is module-level
-    # and its arguments picklable).
-    llc_ways = 12
-    part_keys = [
-        (a, sweeper) for a, _b in PARTITIONS_9A for sweeper in (False, True)
-    ]
-    part_args = [
-        (settings, a, list(range(a, llc_ways)), list(range(a)), sweeper)
-        for a, sweeper in part_keys
-    ]
-    over_keys = [
-        (ways, sweeper) for ways in OVERLAP_WAYS_9B for sweeper in (False, True)
-    ]
-    over_args = [
-        (settings, ways, None, None, sweeper) for ways, sweeper in over_keys
-    ]
-    points = run_tasks(
-        _run_collocated, part_args + over_args, run_label="fig9"
-    )
-    partitioned: Dict[Tuple[int, bool], CollocationPoint] = dict(
-        zip(part_keys, points[: len(part_keys)])
-    )
-    overlapping: Dict[Tuple[int, bool], CollocationPoint] = dict(
-        zip(over_keys, points[len(part_keys) :])
-    )
-
+    spec_list = specs(settings)
+    partitioned, overlapping = {}, {}
+    for spec, point in zip(spec_list, run_points(spec_list, run_label="fig9")):
+        p = collocated_point(spec, point)
+        panel = overlapping if p.xmem_ways is None else partitioned
+        panel[(p.ddio_ways, p.sweeper)] = p
     result.series["partitioned"] = partitioned
     result.series["overlapping"] = overlapping
 

@@ -132,6 +132,8 @@ class PointRecord:
     probe_seed: Optional[int] = None
     #: ``repr`` of the point's BurstProfile (None = constant load).
     burst: Optional[str] = None
+    #: ``repr`` of the point's Colocation (None = the NF alone).
+    colocation: Optional[str] = None
     status: str = "done"  # done | failed | skipped
     error: Optional[str] = None  # last error when status == "failed"
     attempts: int = 1  # how many times the point was tried

@@ -11,7 +11,7 @@ simulation measures (see ``repro.engine.analytic.xmem_ipc``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -38,6 +38,21 @@ class XMemParams:
     @property
     def dataset_blocks(self) -> int:
         return self.dataset_bytes // CACHE_BLOCK_BYTES
+
+
+@dataclass(frozen=True)
+class Colocation:
+    """The X-Mem tenant that shares a point's LLC with its NF (§VI-E).
+
+    X-Mem runs on the upper half of the cores, the NF on the lower half.
+    ``xmem_ways`` and ``nf_ways`` confine each tenant's LLC fills to a
+    way subset (Figure 9a's disjoint partitions); None leaves a tenant
+    the whole LLC (Figure 9b's overlap).
+    """
+
+    xmem: XMemParams = XMemParams()
+    xmem_ways: Optional[Tuple[int, ...]] = None
+    nf_ways: Optional[Tuple[int, ...]] = None
 
 
 class XMemWorkload:

@@ -44,7 +44,7 @@ from repro.mem.layout import RegionKind
 from repro.nic.arrivals import BurstProfile
 from repro.obs.timeline import ObsContext
 from repro.sidechannel.observer import ObserverConfig
-from repro.workloads.xmem import XMemWorkload
+from repro.workloads.xmem import Colocation
 from tests.conftest import (
     KERNEL,
     make_tiny_kvs,
@@ -313,16 +313,13 @@ def test_collocation_equivalence(overlap):
             engine=engine,
         )
         sim = CollocationSimulator(
-            cfg,
-            XMemWorkload(),
-            xmem_cores=[2, 3],
-            xmem_ways_mask=None if overlap else [0, 1, 2],
+            cfg, Colocation(xmem_ways=None if overlap else (0, 1, 2))
         )
-        return sim.run_collocated()
+        return sim.run()
 
     a = run("object")
     b = run("batch")
-    _assert_results_equal(a.nf_result, b.nf_result)
+    _assert_results_equal(a, b)
     assert a.xmem_accesses == b.xmem_accesses
     assert a.xmem_level_counts == b.xmem_level_counts
 

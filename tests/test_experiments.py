@@ -8,9 +8,13 @@ default scale and print the full rows.
 
 import pytest
 
+from repro.engine import snapshot
+from repro.engine.parallel import last_run_dir
+from repro.engine.pointcache import fingerprint
 from repro.experiments import REGISTRY, fig1, fig2, fig5, fig6, fig7, fig8, fig9, fig10
 from repro.experiments import headline, table1
 from repro.experiments.common import ExperimentSettings
+from repro.obs.manifest import RunManifest
 from repro.traffic import MemCategory
 
 SETTINGS = ExperimentSettings(scale=0.05, measure_multiplier=0.25)
@@ -197,8 +201,27 @@ def gains_min(result):
 
 class TestFig9:
     @pytest.fixture(scope="class")
-    def result(self):
-        return fig9.run(settings=SETTINGS)
+    def result(self, tmp_path_factory):
+        # A point cache of its own, so a second run can be all hits.
+        mp = pytest.MonkeyPatch()
+        mp.setenv("REPRO_CACHE_DIR", str(tmp_path_factory.mktemp("fig9")))
+        mp.delenv("REPRO_NO_CACHE", raising=False)
+        yield fig9.run(settings=SETTINGS)
+        mp.undo()
+
+    def test_specs_are_distinct_and_share_no_warmup(self):
+        specs = fig9.specs(SETTINGS)
+        assert len({fingerprint(s) for s in specs}) == len(specs) == 22
+        assert snapshot.warmup_groups(specs) == {}
+
+    def test_second_run_is_all_cache_hits(self, result):
+        again = fig9.run(settings=SETTINGS)
+        manifest = RunManifest.load(last_run_dir() / "manifest.json")
+        assert manifest.run_label == "fig9"
+        assert len(manifest.points) == manifest.cached_points == 22
+        assert again.render() == result.render()
+        assert again.notes == result.notes
+        assert again.series == result.series
 
     def test_partition_tradeoff_exists(self, result):
         """More DDIO ways help the NF and hurt X-Mem (baseline)."""

@@ -16,6 +16,10 @@ Four layers:
 
 from __future__ import annotations
 
+import sys
+import threading
+import time
+
 import pytest
 
 from repro.engine import faults, pointcache
@@ -72,15 +76,27 @@ def fault_runner(spec):
     return MiniResult(spec.label)
 
 
-def drive_pool(specs, results, attempts, errors, retries, timeout):
-    """``fault_runner`` on a 2-process pool through the attempt loop."""
+def timed_runner(spec):
+    """``fault_runner`` that records how long its injected faults took."""
+    t0 = time.monotonic()
+    result = fault_runner(spec)
+    result.slept = time.monotonic() - t0
+    return result
+
+
+def drive_pool(
+    specs, results, attempts, errors, retries, timeout,
+    runner=fault_runner, **hooks,
+):
+    """``runner`` on a 2-process pool through the attempt loop."""
     pool = PointPool(2)
     try:
         run_attempts(
             specs,
-            lambda i: ("simulated", pool.submit(fault_runner, specs[i])),
+            lambda i: ("simulated", pool.submit(runner, specs[i])),
             results, attempts, errors,
             retries=retries, backoff=0.0, timeout=timeout, capacity=2,
+            **hooks,
         )
     finally:
         pool.shutdown()
@@ -313,6 +329,73 @@ class TestParallelRecovery:
         assert errors == {}
         assert [r.label for r in results] == ["slow", "ok"]
         assert attempts[0] >= 2  # the straggler attempt was abandoned
+
+    def test_abandoned_straggler_that_finishes_first_resolves(
+        self, recovery_env, monkeypatch
+    ):
+        # Both attempts run, one per process: the first sleeps 1 s and is
+        # abandoned at 0.7 s; its retry sleeps 4 s. The straggler's
+        # result resolves the point, once, without waiting for the retry.
+        monkeypatch.setenv(
+            "REPRO_FAULT_SPEC", "slow_point@point=0:1s,slow_point@point=1:4s"
+        )
+        faults.reset()
+        results, attempts, errors, done = [None], [0], {}, []
+        t0 = time.monotonic()
+        drive_pool(
+            [tiny_spec(label="slow")], results, attempts, errors,
+            retries=3, timeout=0.7, runner=timed_runner,
+            on_done=lambda i, source, result: done.append((i, source)),
+        )
+        assert errors == {}
+        assert done == [(0, "simulated")]
+        assert attempts[0] >= 2
+        assert 0.9 < results[0].slept < 3.0  # the straggler's own result
+        assert time.monotonic() - t0 < 3.5
+
+    def test_stragglers_race_their_retries_on_one_thread(self):
+        # Every point's first attempt straggles past the timeout on a
+        # 1-worker pool; its retry queues behind it and must be
+        # cancelled when the straggler returns. A lost race between the
+        # straggler's callback and acquire shows up as a second run.
+        started = []
+
+        def runner(label):
+            if label not in started:
+                started.append(label)
+                time.sleep(0.15)
+            else:
+                started.append(label)
+            return MiniResult(label)
+
+        labels = [f"p{i}" for i in range(6)]
+        results, attempts, errors, done = [None] * 6, [0] * 6, {}, []
+        pool = PointPool(1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            loop = threading.Thread(
+                target=run_attempts,
+                args=(
+                    labels,
+                    lambda i: ("simulated", pool.submit(runner, labels[i])),
+                    results, attempts, errors,
+                ),
+                kwargs=dict(
+                    retries=3, backoff=0.0, timeout=0.05, capacity=1,
+                    on_done=lambda i, source, result: done.append(i),
+                ),
+            )
+            loop.start()
+            loop.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+            pool.shutdown()
+        assert not loop.is_alive()
+        assert errors == {}
+        assert sorted(done) == list(range(6))
+        assert sorted(started) == labels  # one run per point
+        assert [r.label for r in results] == labels
 
     def test_pool_crash_with_stub_runner(self, recovery_env, monkeypatch):
         monkeypatch.setenv("REPRO_FAULT_SPEC", "worker_crash@label=victim")

@@ -4,13 +4,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro.engine import pointcache
+from repro.engine import pointcache, result_identity
 from repro.engine.parallel import (
     PointSpec,
     default_workers,
     run_cached_spec,
     run_points,
-    run_tasks,
 )
 from repro.errors import ConfigError
 from repro.experiments.common import (
@@ -19,6 +18,9 @@ from repro.experiments.common import (
     kvs_workload,
     point_spec,
 )
+from repro.workloads.xmem import Colocation
+
+from tests.conftest import make_tiny_l3fwd, make_tiny_system
 
 SCALE = 0.05
 SETTINGS = ExperimentSettings(scale=SCALE, measure_multiplier=0.1)
@@ -64,12 +66,29 @@ class TestParallelRunner:
         specs = [
             tiny_spec(label=f"{w}/{s}", ways=w, sweeper=s)
             for w, s in ((2, False), (2, True))
+        ] + [
+            PointSpec(  # an NF + X-Mem point (Figure 9's kind)
+                label="colocated",
+                system=make_tiny_system(num_cores=4),
+                workload=make_tiny_l3fwd(),
+                sweeper=True,
+                warmup_requests=128,
+                measure_requests=256,
+                colocation=Colocation(xmem_ways=(0, 1, 2)),
+            )
         ]
         serial = run_points(specs, max_workers=1)
         parallel = run_points(specs, max_workers=2)
         assert [p.label for p in parallel] == [s.label for s in specs]
         for a, b in zip(serial, parallel):
             assert_identical(a, b)
+        assert serial[-1].trace.xmem_accesses > 0
+        # Every simulated field, also against REPRO_EPOCH-chunked runs.
+        monkeypatch.setenv("REPRO_EPOCH", "64")
+        chunked = run_points(specs, max_workers=1)
+        identity = [result_identity(r) for r in serial]
+        assert [result_identity(r) for r in parallel] == identity
+        assert [result_identity(r) for r in chunked] == identity
 
     def test_same_seed_same_result_serial(self, monkeypatch, cache_dir):
         monkeypatch.setenv("REPRO_NO_CACHE", "1")
@@ -89,19 +108,6 @@ class TestParallelRunner:
         monkeypatch.setenv("REPRO_WORKERS", "abc")
         with pytest.raises(ConfigError):
             default_workers()
-
-    def test_run_tasks_preserves_order(self):
-        results = run_tasks(divmod, [(7, 3), (9, 4)], max_workers=1)
-        assert results == [(2, 1), (2, 1)]
-
-    def test_run_tasks_preserves_order_across_workers(self):
-        # Regression: completion-order results must land back at their
-        # submission index (the old list.index lookup was also O(n²)).
-        import operator
-
-        tasks = [(i, 0) for i in range(10)]
-        results = run_tasks(operator.sub, tasks, max_workers=2)
-        assert results == list(range(10))
 
 
 class TestPointCache:

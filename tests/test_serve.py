@@ -425,6 +425,7 @@ class TestFaultTolerance:
         manifest = job_manifest(job)
         assert manifest.status == "done"
         assert manifest.points[0].attempts >= 2
+        assert len(calls) == 1  # the straggler's own result resolved it
 
 
 @pytest.fixture()

@@ -59,7 +59,7 @@ from repro.sidechannel import (
     hit_rate_trace,
     per_set_eviction_counts,
 )
-from repro.workloads.xmem import XMemWorkload
+from repro.workloads.xmem import Colocation
 from tests.conftest import (
     make_tiny_kvs,
     make_tiny_l3fwd,
@@ -193,12 +193,10 @@ def test_fig9_observer_off_bit_identical_to_seed():
         measure_requests=256,
         engine="object",
     )
-    sim = CollocationSimulator(
-        cfg, XMemWorkload(), xmem_cores=[2, 3], xmem_ways_mask=[0, 1, 2]
-    )
-    c = sim.run_collocated()
-    digest = _trace_digest(c.nf_result)
-    digest["sweeps"] = c.nf_result.sweep_instructions
+    sim = CollocationSimulator(cfg, Colocation(xmem_ways=(0, 1, 2)))
+    c = sim.run()
+    digest = _trace_digest(c)
+    digest["sweeps"] = c.sweep_instructions
     digest["xmem_accesses"] = c.xmem_accesses
     digest["xmem_levels"] = {
         lv.name: n for lv, n in c.xmem_level_counts.items()
@@ -218,6 +216,7 @@ def test_observer_off_cache_key_keeps_legacy_format():
     )
     key = plain.cache_key()
     assert "observer=" not in key and "burst=" not in key
+    assert "colocation=" not in key
     observed = spec.cache_key()
     assert observed.startswith(key)
     assert "observer=ObserverConfig(" in observed

@@ -7,7 +7,7 @@ from repro.cache.hierarchy import AccessLevel
 from repro.engine.tracer import CollocationSimulator, TraceConfig, TraceSimulator
 from repro.errors import ConfigError
 from repro.traffic import MemCategory
-from repro.workloads.xmem import XMemParams, XMemWorkload
+from repro.workloads.xmem import Colocation, XMemParams
 
 from tests.conftest import make_tiny_kvs, make_tiny_l3fwd, make_tiny_system
 
@@ -194,20 +194,21 @@ class TestCollocation:
         )
         return CollocationSimulator(
             cfg,
-            XMemWorkload(XMemParams(dataset_bytes=1 << 16)),
-            xmem_cores=[1],
-            xmem_ways_mask=xmem_mask,
+            Colocation(
+                xmem=XMemParams(dataset_bytes=1 << 16), xmem_ways=xmem_mask
+            ),
         )
 
     def test_xmem_activity_recorded(self):
-        result = self.make().run_collocated()
+        result = self.make().run()
         assert result.xmem_accesses > 0
-        rates = result.xmem_levels_per_access()
+        counts = result.xmem_level_counts
+        rates = {lv: n / result.xmem_accesses for lv, n in counts.items()}
         assert sum(rates.values()) == pytest.approx(1.0)
 
     def test_xmem_partition_respected(self):
-        sim = self.make(xmem_mask=[10, 11])
-        sim.run_collocated()
+        sim = self.make(xmem_mask=(10, 11))
+        sim.run()
         # X-Mem's dataset blocks in the LLC live only in ways 10-11.
         region = sim.space.region("xmem_dataset[1]")
         for block in sim.hier.llc.resident_blocks():
@@ -215,19 +216,19 @@ class TestCollocation:
                 assert sim.hier.llc.way_of(block) in (10, 11)
 
     def test_requires_an_nf_core(self):
-        system = make_tiny_system(num_cores=2)
+        system = make_tiny_system(num_cores=1)
         cfg = TraceConfig(system=system, workload=make_tiny_l3fwd())
         with pytest.raises(ConfigError):
-            CollocationSimulator(cfg, XMemWorkload(), xmem_cores=[0, 1])
+            CollocationSimulator(cfg, Colocation())
 
     def test_sweeper_does_not_hurt_partitioned_xmem_hit_rate(self):
         """§VI-E disjoint partitions: with X-Mem fenced off from the DDIO
         ways, Sweeper's cleaning must not degrade X-Mem's cache hit rate
         (its IPC gain then comes from the bandwidth relief the analytic
         layer models)."""
-        mask = list(range(2, 12))
-        base = self.make(sweeper=False, xmem_mask=mask).run_collocated()
-        swept = self.make(sweeper=True, xmem_mask=mask).run_collocated()
+        mask = tuple(range(2, 12))
+        base = self.make(sweeper=False, xmem_mask=mask).run()
+        swept = self.make(sweeper=True, xmem_mask=mask).run()
         base_mem = base.xmem_level_counts[AccessLevel.MEM] / base.xmem_accesses
         swept_mem = (
             swept.xmem_level_counts[AccessLevel.MEM] / swept.xmem_accesses
