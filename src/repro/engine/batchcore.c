@@ -75,9 +75,19 @@ typedef struct {
 /* single-cache primitives                                             */
 /* ------------------------------------------------------------------ */
 
+/* First slot of the block's set. Most geometries have a power-of-two
+ * set count, which a mask indexes; the rest (the full-scale LLC's
+ * 49,152 sets) take the modulo. */
+static inline int64_t set_base(const BCache *c, int64_t block)
+{
+    int64_t n = c->num_sets;
+    int64_t set = (n & (n - 1)) == 0 ? block & (n - 1) : block % n;
+    return set * c->ways;
+}
+
 static int64_t slot_of(const BCache *c, int64_t block)
 {
-    int64_t base = (block % c->num_sets) * c->ways;
+    int64_t base = set_base(c, block);
     int64_t end = base + c->ways;
     for (int64_t s = base; s < end; s++) {
         if (c->tags[s] == block)
@@ -118,28 +128,18 @@ static int64_t cache_access_kind(BCache *c, int64_t block, int write)
     return (int64_t)c->kind[slot];
 }
 
-/* Insert; evicted line is returned through out_{block,dirty,kind}.
- * Returns 1 if a line was evicted, 0 otherwise.
- * mask == NULL means no way restriction. Mirrors
+/* Insert a block the cache does not hold; the evicted line is
+ * returned through out_{block,dirty,kind}. Returns 1 if a line was
+ * evicted, 0 otherwise, -1 on an empty way mask. mask == NULL means no
+ * way restriction. Mirrors the absent branch of
  * SetAssociativeCache.insert including prefer_invalid and the LCG draw
  * order. */
-static int cache_insert(BCache *c, int64_t block, int dirty, int64_t kind,
-                        const int64_t *mask, int64_t mask_len,
-                        int prefer_invalid, int64_t *out_block,
-                        int *out_dirty, int64_t *out_kind)
+static int insert_absent(BCache *c, int64_t block, int dirty, int64_t kind,
+                         const int64_t *mask, int64_t mask_len,
+                         int prefer_invalid, int64_t *out_block,
+                         int *out_dirty, int64_t *out_kind)
 {
-    int64_t slot = slot_of(c, block);
-    if (slot >= 0) {
-        /* Present: refresh in place (recency for LRU only). */
-        if (c->is_lru)
-            c->stamp[slot] = c->tick[0]++;
-        if (dirty)
-            c->dirty[slot] = 1;
-        c->kind[slot] = (uint8_t)kind;
-        return 0;
-    }
-
-    int64_t base = (block % c->num_sets) * c->ways;
+    int64_t base = set_base(c, block);
     int64_t victim = -1;
     if (c->is_lru) {
         /* First invalid way in way/mask order, else oldest stamp. */
@@ -214,6 +214,25 @@ static int cache_insert(BCache *c, int64_t block, int dirty, int64_t kind,
     return evicted;
 }
 
+/* Insert (SetAssociativeCache.insert): a present block is refreshed in
+ * place (recency for LRU only), an absent one goes to insert_absent. */
+static int cache_insert(BCache *c, int64_t block, int dirty, int64_t kind,
+                        const int64_t *mask, int64_t mask_len,
+                        int prefer_invalid, int64_t *out_block,
+                        int *out_dirty, int64_t *out_kind)
+{
+    int64_t slot = slot_of(c, block);
+    if (slot < 0)
+        return insert_absent(c, block, dirty, kind, mask, mask_len,
+                             prefer_invalid, out_block, out_dirty, out_kind);
+    if (c->is_lru)
+        c->stamp[slot] = c->tick[0]++;
+    if (dirty)
+        c->dirty[slot] = 1;
+    c->kind[slot] = (uint8_t)kind;
+    return 0;
+}
+
 /* Remove; returns 1 and fills out_{dirty,kind} if the block was there. */
 static int cache_remove(BCache *c, int64_t block, int *out_dirty,
                         int64_t *out_kind)
@@ -273,13 +292,16 @@ static void victim_fill_llc(BHier *h, int64_t core, int64_t block,
         writeback(h, ev_kind);
 }
 
+/* The fills below always follow a probe of the same block in the same
+ * cache that missed, with nothing in between that could bring the
+ * block in, so they skip the presence scan. */
 static void fill_l2(BHier *h, int64_t core, int64_t block, int dirty,
                     int64_t kind)
 {
     int64_t ev_block, ev_kind;
     int ev_dirty;
-    int r = cache_insert(&h->l2[core], block, dirty, kind, NULL, 0, 1,
-                         &ev_block, &ev_dirty, &ev_kind);
+    int r = insert_absent(&h->l2[core], block, dirty, kind, NULL, 0, 1,
+                          &ev_block, &ev_dirty, &ev_kind);
     if (r == 1)
         victim_fill_llc(h, core, ev_block, ev_dirty, ev_kind);
 }
@@ -289,8 +311,8 @@ static void fill_l1(BHier *h, int64_t core, int64_t block, int dirty,
 {
     int64_t ev_block, ev_kind;
     int ev_dirty;
-    int r = cache_insert(&h->l1[core], block, dirty, kind, NULL, 0, 1,
-                         &ev_block, &ev_dirty, &ev_kind);
+    int r = insert_absent(&h->l1[core], block, dirty, kind, NULL, 0, 1,
+                          &ev_block, &ev_dirty, &ev_kind);
     if (r != 1)
         return;
     if (!ev_dirty)

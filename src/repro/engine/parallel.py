@@ -520,7 +520,7 @@ def _point_record(
         attempts=max(1, attempts),
         worker_id=getattr(result, "worker_id", None),
         warmup_fingerprint=(
-            snapshot.warmup_fingerprint(spec) if spec.observer is None else None
+            None if snapshot.opts_out(spec) else snapshot.warmup_fingerprint(spec)
         ),
         warm_restored=bool(getattr(result, "warm_restored", False)),
     )

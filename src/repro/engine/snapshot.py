@@ -16,7 +16,8 @@ separate snapshots because their native state layouts differ). The
 restore is all-or-nothing — every field is validated against the live
 simulator before anything is mutated, and any mismatch falls back to a
 normal warmup with a logged ``snapshot.fallback`` event. Observer
-points deterministically opt out (never capture, never restore): the
+and collocated points deterministically opt out (never capture, never
+restore; collocated points carry X-Mem state). For observer points the
 observer only activates after warmup, but no two figS points share a
 warmup, so snapshots would buy them nothing, and restored == full has
 never been checked for them (DESIGN.md §14). Burst points
@@ -62,16 +63,25 @@ def snapshots_enabled() -> bool:
     return pointcache.cache_enabled()
 
 
+def opts_out(spec: Any) -> bool:
+    """Whether ``spec`` never captures or restores warm state: observer
+    points (see the module docstring) and collocated points, whose
+    ``CollocationSimulator`` carries X-Mem state the blob does not
+    model."""
+    return (
+        getattr(spec, "observer", None) is not None
+        or getattr(spec, "colocation", None) is not None
+    )
+
+
 def eligible(spec: Any) -> bool:
     """Whether ``spec`` participates in warm-state sharing.
 
-    Observer points opt out deterministically (see the module
-    docstring); specs without a ``warmup_key`` (foreign spec types fed
-    through the serve scheduler) are simply not shareable.
+    Points that :func:`opts_out` never do; specs without a
+    ``warmup_key`` (foreign spec types fed through the serve scheduler)
+    are simply not shareable.
     """
-    if not snapshots_enabled():
-        return False
-    if getattr(spec, "observer", None) is not None:
+    if not snapshots_enabled() or opts_out(spec):
         return False
     return hasattr(spec, "warmup_key")
 

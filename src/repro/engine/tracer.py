@@ -32,8 +32,9 @@ truth between calls (DESIGN.md §11, "Fused request loop").
 
 from __future__ import annotations
 
+import copy
 import ctypes
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, Optional
 
 import numpy as np
@@ -165,8 +166,9 @@ class TraceResult:
 #: schema version of the warm-state blob; bump on any layout change so
 #: stale snapshots degrade to misses instead of bad restores. The blob
 #: is also code-salted through its fingerprint path, so this only
-#: matters for hand-fed states in tests.
-WARM_STATE_VERSION = 1
+#: matters for hand-fed states in tests. Version 2: a pickled
+#: ZipfGenerator carries its uniforms, not its CDF and item ids.
+WARM_STATE_VERSION = 2
 
 
 def _capture_cache(cache) -> Dict[str, object]:
@@ -331,6 +333,10 @@ class TraceSimulator:
     ) -> None:
         if cfg.queued_depth < 1:
             raise ConfigError("queued_depth must be >= 1")
+        # The workload is built on a private copy: its state lives and
+        # dies with this simulator, and the caller's config stays a
+        # read-only input (running a spec never changes it).
+        cfg = replace(cfg, workload=copy.copy(cfg.workload))
         self.cfg = cfg
         self.obs = obs
         system = cfg.system
@@ -717,8 +723,9 @@ class TraceSimulator:
             ring._next = nxt
         self.nic.transmissions = transmissions
         self.backlog.target_depth = backlog_target
-        # Swap internals in place so every existing reference (the
-        # spec's workload object, nic.policy) sees the restored state.
+        # Adopt the restored internals in place, into this simulator's
+        # private workload and the policy object the NIC holds, so every
+        # existing reference to them sees the restored state.
         self.cfg.workload.__dict__.clear()
         self.cfg.workload.__dict__.update(workload.__dict__)
         self.policy.__dict__.clear()

@@ -1,17 +1,43 @@
 """Zipfian key-popularity sampling (the paper uses zipf 0.99).
 
 Sampling uses an exact inverse-CDF over the full key universe, vectorized
-with numpy. Keys are drawn in batches and handed out one at a time so the
-per-request cost is a single array index.
+with numpy. The normalized CDF depends only on ``(num_items, skew)``, so
+generators of one shape share a single read-only copy (:func:`zipf_cdf`).
+
+Keys are drawn in batches: a refill draws the batch's uniforms in one
+``rng.random`` call, and they are converted to item ids
+(``perm[searchsorted(cdf, u)]``) one aligned chunk of :data:`CHUNK`
+draws at a time, when a chunk is first handed out. A point that runs a
+few thousand requests thus pays for a few chunks, not a whole batch.
+``sample`` and ``sample_run`` convert the same chunks, so either way of
+drawing leaves the same generator state.
+
+A pickled generator carries its RNG, permutation, uniforms and cursor;
+the CDF and the converted ids are re-derived on unpickling.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 
 from repro.errors import ConfigError
+
+#: uniforms converted to item ids at a time (batch-aligned)
+CHUNK = 4096
+
+
+@lru_cache(maxsize=4)
+def zipf_cdf(num_items: int, skew: float) -> np.ndarray:
+    """The normalized CDF of Zipf(``skew``) over ``num_items`` ranks,
+    shared and read-only."""
+    weights = 1.0 / np.power(np.arange(1, num_items + 1, dtype=np.float64), skew)
+    cdf = np.cumsum(weights)
+    cdf /= cdf[-1]
+    cdf.flags.writeable = False
+    return cdf
 
 
 class ZipfGenerator:
@@ -38,41 +64,65 @@ class ZipfGenerator:
         self.skew = skew
         self._rng = rng if rng is not None else np.random.default_rng(7)
         self._batch_size = batch_size
-        weights = 1.0 / np.power(
-            np.arange(1, num_items + 1, dtype=np.float64), skew
-        )
-        self._cdf = np.cumsum(weights)
-        self._cdf /= self._cdf[-1]
+        self._cdf = zipf_cdf(num_items, skew)
         if shuffle:
             self._perm = self._rng.permutation(num_items)
         else:
             self._perm = np.arange(num_items)
+        #: the current batch's uniforms
+        self._u = np.empty(0)
+        #: their item ids; ``[0, _ready)`` is converted, the rest zero
         self._batch = np.empty(0, dtype=np.int64)
+        self._ready = 0
         self._pos = 0
 
+    def __getstate__(self):
+        state = self.__dict__.copy()
+        del state["_cdf"], state["_batch"], state["_ready"]
+        return state
+
+    def __setstate__(self, state) -> None:
+        self.__dict__.update(state)
+        self._cdf = zipf_cdf(self.num_items, self.skew)
+        self._batch = np.zeros(len(self._u), dtype=np.int64)
+        self._ready = self._pos - self._pos % CHUNK
+
     def _refill(self) -> None:
-        u = self._rng.random(self._batch_size)
-        ranks = np.searchsorted(self._cdf, u, side="left")
-        self._batch = self._perm[ranks]
+        self._u = self._rng.random(self._batch_size)
+        self._batch = np.zeros(len(self._u), dtype=np.int64)
+        self._ready = 0
         self._pos = 0
+
+    def _convert(self, stop: int) -> None:
+        """Convert the uniforms through the chunk holding draw ``stop - 1``."""
+        start, end = self._ready, min(-(-stop // CHUNK) * CHUNK, len(self._u))
+        ranks = np.searchsorted(self._cdf, self._u[start:end], side="left")
+        self._batch[start:end] = self._perm[ranks]
+        self._ready = end
 
     def sample(self) -> int:
         """Draw one item id."""
-        if self._pos >= len(self._batch):
-            self._refill()
-        item = int(self._batch[self._pos])
-        self._pos += 1
-        return item
+        pos = self._pos
+        if pos >= self._ready:
+            if pos >= len(self._u):
+                self._refill()
+                pos = 0
+            self._convert(pos + 1)
+        self._pos = pos + 1
+        return int(self._batch[pos])
 
     def sample_run(self, limit: int) -> np.ndarray:
         """The next ``1..limit`` item ids of the current batch: what as
         many :meth:`sample` calls return. An exhausted batch is refilled
         first, exactly where ``sample`` would refill it."""
-        if self._pos >= len(self._batch):
+        if self._pos >= len(self._u):
             self._refill()
-        run = self._batch[self._pos : self._pos + limit]
-        self._pos += len(run)
-        return run
+        pos = self._pos
+        stop = min(pos + limit, len(self._u))
+        if stop > self._ready:
+            self._convert(stop)
+        self._pos = stop
+        return self._batch[pos:stop]
 
     def sample_many(self, count: int) -> np.ndarray:
         """Draw ``count`` item ids at once."""

@@ -436,7 +436,7 @@ def test_instance_wrapper_sees_every_request(attr):
             engine="batch",
         )
         sim = TraceSimulator(cfg)
-        owner = sim.nic if owner_name == "nic" else cfg.workload
+        owner = sim.nic if owner_name == "nic" else sim.cfg.workload
         if wrap:
             setattr(owner, method, _passthrough(getattr(owner, method)))
         return sim, sim.run(), owner
@@ -460,7 +460,7 @@ def test_fused_loop_rejects_malformed_op_buffer():
     )
     sim = TraceSimulator(cfg)
     fused = _FusedLoop(sim)
-    ops, _ = cfg.workload.encode_segment(0, 3, 2, sim._packet_blocks)
+    ops, _ = sim.cfg.workload.encode_segment(0, 3, 2, sim._packet_blocks)
     # A view of all but the last int: the int past its end is valid
     # memory, so only the bound keeps the kernel from reading it.
     truncated = ops[:-1]

@@ -11,6 +11,7 @@ are covered here too.
 from __future__ import annotations
 
 import dataclasses
+import gc
 import json
 import os
 import pickle
@@ -28,6 +29,7 @@ from repro.engine.parallel import (
 )
 from repro.engine.tracer import TraceConfig, TraceSimulator
 from repro.errors import ConfigError
+from repro.experiments import fig9
 from repro.experiments.common import (
     ExperimentSettings,
     kvs_system,
@@ -39,6 +41,7 @@ from repro.obs.manifest import runs_dir
 from repro.serve import JobScheduler
 from repro.serve.jobs import TERMINAL_STATES, JobRequest
 from repro.sidechannel.observer import ObserverConfig
+from repro.workloads.zipf import ZipfGenerator
 
 SCALE = 0.05
 SETTINGS = ExperimentSettings(scale=SCALE, measure_multiplier=0.1)
@@ -288,6 +291,81 @@ class TestObserverCarveOut:
         again = run_spec(spec)
         assert not again.warm_restored
         assert_bit_identical(result, again)
+
+
+class TestCollocationCarveOut:
+    def test_collocated_points_skip_snapshot_bookkeeping(
+        self, cache_dir, monkeypatch
+    ):
+        """A collocated point never captures or restores, so it neither
+        looks a snapshot up, nor records a warmup fingerprint, nor holds
+        a sibling back as a warmup group."""
+        spec = dataclasses.replace(
+            fig9.collocated_spec(fig9.clamp(SETTINGS), 4, False, partitioned=True),
+            warmup_requests=200,
+            measure_requests=300,
+        )
+        longer = dataclasses.replace(spec, label="longer", measure_requests=400)
+        assert not snapshot.eligible(spec)
+        assert snapshot.warmup_groups([spec, longer]) == {}
+        loads = []
+        monkeypatch.setattr(
+            snapshot, "load_state", lambda *args: loads.append(args)
+        )
+        run_spec(spec)
+        run_points([longer], max_workers=1)
+        assert loads == []
+        assert list(cache_dir.rglob("*.snap")) == []
+        manifest = json.loads((last_run_dir() / "manifest.json").read_text())
+        assert [p["warmup_fingerprint"] for p in manifest["points"]] == [None]
+
+
+@pytest.mark.parametrize("engine", ["object", "batch"])
+class TestSpecIsReadOnly:
+    """A simulator builds its workload on a private copy, so running a
+    spec leaves it as it was and keeps nothing alive after the run."""
+
+    SHORT = dict(warmup_requests=400, measure_requests=300)
+
+    def test_run_leaves_spec_unchanged(self, cache_dir, monkeypatch, engine):
+        monkeypatch.setenv("REPRO_ENGINE", engine)
+        specs = [
+            sweep_spec("a", measure_ways=2, **self.SHORT),
+            sweep_spec("b", measure_ways=3, **self.SHORT),
+        ]
+        before = [pickle.dumps(s) for s in specs]
+        results = [run_spec(s) for s in specs]
+        assert [r.warm_restored for r in results] == [False, True]
+        assert [pickle.dumps(s) for s in specs] == before
+
+    def test_same_spec_object_runs_twice_identically(
+        self, cache_dir, monkeypatch, engine
+    ):
+        monkeypatch.setenv("REPRO_ENGINE", engine)
+        monkeypatch.setenv("REPRO_SNAPSHOTS", "0")
+        spec = sweep_spec(measure_ways=2, **self.SHORT)
+        first, second = run_spec(spec), run_spec(spec)
+        assert result_identity(first) == result_identity(second)
+
+    def test_no_workload_outlives_its_run(self, cache_dir, monkeypatch, engine):
+        monkeypatch.setenv("REPRO_ENGINE", engine)
+        specs = [
+            sweep_spec("a", measure_ways=2, **self.SHORT),
+            sweep_spec("b", measure_ways=3, **self.SHORT),  # restores a's warmup
+            sweep_spec("c", measure_ways=2, seed=43, **self.SHORT),
+        ]
+        gc.collect()
+        before = {id(o) for o in gc.get_objects() if isinstance(o, ZipfGenerator)}
+        results = run_points(specs, max_workers=1)
+        assert [r.warm_restored for r in results] == [False, True, False]
+        gc.collect()
+        alive = [
+            o
+            for o in gc.get_objects()
+            if isinstance(o, ZipfGenerator) and id(o) not in before
+        ]
+        assert alive == []
+        assert len(specs) == 3  # the specs are still held
 
 
 class TestSnapshotDurability:
