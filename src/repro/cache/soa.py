@@ -27,8 +27,10 @@ The object engine keeps per-set recency as dict insertion order (oldest
 first). Here recency is the per-slot ``stamp``: every recency touch
 assigns ``tick`` and increments it, so valid stamps are unique and the
 dict's "first key" is exactly the valid slot with the minimum stamp.
-Invalid slots are found by ``tags == -1`` in way order (no mask) or
-mask order, matching ``tags.index``/mask iteration in the object
+An invalid slot's stamp is -1 (here and wherever the kernel invalidates
+a slot), so one argmin over the stamps, ties to the first way in way
+(no mask) or mask order, takes the first invalid way before any valid
+one, matching ``tags.index``/mask iteration in the object
 implementation. The random-replacement LCG is the same 32-bit recurrence
 stepped in the same places, so victim draws agree draw-for-draw.
 """

@@ -12,6 +12,14 @@
  *     recency stamps (tick++ per touch; the dict's oldest entry is the
  *     minimum-stamp valid slot; invalid slots are claimed first in
  *     way/mask order);
+ *   - the stamp invariant the LRU victim pick rests on: in an LRU
+ *     cache a slot is invalid iff its stamp is -1. Stamps start at -1
+ *     (SoaCache), cache_remove and cache_sweep write -1 with the tag,
+ *     and tick starts at 0, so valid stamps are unique and >= 0. One
+ *     argmin over the stamps with a strict < (ties to the first way in
+ *     way/mask order) therefore picks the first invalid way, else the
+ *     oldest line. The equivalence fuzz checks the invariant after
+ *     every step;
  *   - the 32-bit LCG for random replacement, stepped only when a draw
  *     actually happens, in the same order as the object engine;
  *   - traffic category arithmetic: EVICT_CATEGORY[kind] == kind + 5,
@@ -19,6 +27,12 @@
  *     APP=2; MemCategory CPU_RX_RD=2..CPU_OTHER_RD=4, RX_EVCT=5..
  *     OTHER_EVCT=7), asserted against the enums by the equivalence
  *     suite.
+ *
+ * The set scans (presence, first invalid way, LRU victim) compare every
+ * way with no early exit and select with conditional moves, not
+ * data-dependent branches, which mispredict on nearly every scan; the
+ * scan order makes the first match in way/mask order win, so no scan
+ * relies on tags being unique within a set.
  *
  * The equivalence suite (tests/test_batch_equivalence.py) holds this
  * file to bit-identical TraceResult output against the object engine.
@@ -85,15 +99,71 @@ static inline int64_t set_base(const BCache *c, int64_t block)
     return set * c->ways;
 }
 
+/* Lowest way of the set starting at ``base`` whose tag is ``tag``, as a
+ * slot, or -1. Every way is compared, with no early exit: the scan runs
+ * from the last way down and each match overwrites the answer, so the
+ * first match in way order wins without a data-dependent branch. */
+static inline int64_t first_tag(const BCache *c, int64_t base, int64_t tag)
+{
+    const int64_t *tags = c->tags + base;
+    int64_t slot = -1;
+    for (int64_t w = c->ways - 1; w >= 0; w--)
+        slot = tags[w] == tag ? base + w : slot;
+    return slot;
+}
+
+/* The same over the ways ``mask[0..mask_len)``: first match in mask
+ * order. */
+static inline int64_t first_tag_masked(const BCache *c, int64_t base,
+                                       int64_t tag, const int64_t *mask,
+                                       int64_t mask_len)
+{
+    int64_t slot = -1;
+    for (int64_t i = mask_len - 1; i >= 0; i--) {
+        int64_t s = base + mask[i];
+        slot = c->tags[s] == tag ? s : slot;
+    }
+    return slot;
+}
+
+/* LRU victim of the set starting at ``base``: the slot with the
+ * smallest stamp, the first in way order on a tie. Because an invalid
+ * slot's stamp is -1 and valid stamps are unique and >= 0 (see the
+ * header), that is the first invalid way, else the least recently used
+ * line. */
+static inline int64_t oldest_way(const BCache *c, int64_t base)
+{
+    const int64_t *stamp = c->stamp;
+    int64_t victim = base, oldest = stamp[base];
+    for (int64_t s = base + 1; s < base + c->ways; s++) {
+        int older = stamp[s] < oldest;
+        victim = older ? s : victim;
+        oldest = older ? stamp[s] : oldest;
+    }
+    return victim;
+}
+
+/* The same over the ways ``mask[0..mask_len)``, ties going to the first
+ * in mask order; -1 on an empty mask. */
+static inline int64_t oldest_way_masked(const BCache *c, int64_t base,
+                                        const int64_t *mask, int64_t mask_len)
+{
+    if (mask_len <= 0)
+        return -1;
+    const int64_t *stamp = c->stamp;
+    int64_t victim = base + mask[0], oldest = stamp[victim];
+    for (int64_t i = 1; i < mask_len; i++) {
+        int64_t s = base + mask[i];
+        int older = stamp[s] < oldest;
+        victim = older ? s : victim;
+        oldest = older ? stamp[s] : oldest;
+    }
+    return victim;
+}
+
 static int64_t slot_of(const BCache *c, int64_t block)
 {
-    int64_t base = set_base(c, block);
-    int64_t end = base + c->ways;
-    for (int64_t s = base; s < end; s++) {
-        if (c->tags[s] == block)
-            return s;
-    }
-    return -1;
+    return first_tag(c, set_base(c, block), block);
 }
 
 /* Probe; returns 1 on hit. Mirrors SetAssociativeCache.access. */
@@ -142,43 +212,13 @@ static int insert_absent(BCache *c, int64_t block, int dirty, int64_t kind,
     int64_t base = set_base(c, block);
     int64_t victim = -1;
     if (c->is_lru) {
-        /* First invalid way in way/mask order, else oldest stamp. */
-        int64_t best = -1, best_stamp = 0;
-        if (mask == NULL) {
-            for (int64_t s = base; s < base + c->ways; s++) {
-                if (c->tags[s] == -1) { victim = s; break; }
-                if (best < 0 || c->stamp[s] < best_stamp) {
-                    best = s;
-                    best_stamp = c->stamp[s];
-                }
-            }
-        } else {
-            for (int64_t i = 0; i < mask_len; i++) {
-                int64_t s = base + mask[i];
-                if (c->tags[s] == -1) { victim = s; break; }
-                if (best < 0 || c->stamp[s] < best_stamp) {
-                    best = s;
-                    best_stamp = c->stamp[s];
-                }
-            }
-        }
-        if (victim < 0)
-            victim = best;
+        victim = mask == NULL ? oldest_way(c, base)
+                              : oldest_way_masked(c, base, mask, mask_len);
     } else {
-        if (prefer_invalid) {
-            if (mask == NULL) {
-                for (int64_t s = base; s < base + c->ways; s++) {
-                    if (c->tags[s] == -1) { victim = s; break; }
-                }
-            } else {
-                for (int64_t i = 0; i < mask_len; i++) {
-                    if (c->tags[base + mask[i]] == -1) {
-                        victim = base + mask[i];
-                        break;
-                    }
-                }
-            }
-        }
+        if (prefer_invalid)
+            victim = mask == NULL
+                         ? first_tag(c, base, -1)
+                         : first_tag_masked(c, base, -1, mask, mask_len);
         if (victim < 0) {
             int64_t lcg =
                 (c->lcg[0] * 1103515245 + 12345) & 0xFFFFFFFFLL;

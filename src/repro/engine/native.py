@@ -10,8 +10,9 @@ object engine instead (DESIGN.md §11).
 
 ``REPRO_NATIVE_DIR`` is the cache directory for compiled kernels
 (default ``~/.cache/repro-native``). The library name embeds a hash of
-the C source, so editing the kernel invalidates stale builds
-automatically.
+the whole compile command (the compiler's resolved path and
+:data:`CFLAGS`) and of the C source, so editing the kernel or its flags,
+or switching compilers, builds afresh instead of loading a stale build.
 
 Compilation is race-safe across processes: each builder compiles to a
 unique temp file and ``os.replace``s it into place.
@@ -32,6 +33,10 @@ from typing import Optional
 from repro.errors import ConfigError
 
 _SOURCE = Path(__file__).resolve().parent / "batchcore.c"
+
+#: compiler flags of the kernel build (part of the cached library's key)
+CFLAGS = ("-O2", "-fPIC", "-shared")
+
 
 def native_dir() -> Path:
     env = os.environ.get("REPRO_NATIVE_DIR")
@@ -160,8 +165,14 @@ def _find_compiler() -> Optional[str]:
     return None
 
 
-def _source_hash() -> str:
-    return hashlib.sha256(_SOURCE.read_bytes()).hexdigest()[:16]
+def _build_key(compiler: str, source: Path) -> str:
+    """Hash of what determines the built library: the compiler, the
+    flags and the source."""
+    h = hashlib.sha256()
+    for part in (os.path.realpath(compiler), *CFLAGS):
+        h.update(part.encode() + b"\0")
+    h.update(source.read_bytes())
+    return h.hexdigest()[:16]
 
 
 def build_library(source: Path = _SOURCE) -> Path:
@@ -171,22 +182,14 @@ def build_library(source: Path = _SOURCE) -> Path:
         raise ConfigError("no C compiler (cc/gcc/clang) on PATH")
     out_dir = native_dir()
     out_dir.mkdir(parents=True, exist_ok=True)
-    lib_path = out_dir / f"batchcore-{_source_hash()}.so"
+    lib_path = out_dir / f"batchcore-{_build_key(compiler, source)}.so"
     if lib_path.exists():
         return lib_path
     fd, tmp_name = tempfile.mkstemp(dir=out_dir, suffix=".so.tmp")
     os.close(fd)
     try:
         proc = subprocess.run(
-            [
-                compiler,
-                "-O2",
-                "-fPIC",
-                "-shared",
-                "-o",
-                tmp_name,
-                str(source),
-            ],
+            [compiler, *CFLAGS, "-o", tmp_name, str(source)],
             capture_output=True,
             text=True,
         )

@@ -133,6 +133,20 @@ class Workload(abc.ABC):
             touched.append(n)
         return np.array(encoded, np.int64), np.array(touched, np.int64)
 
+    def warm_state(self) -> "Workload":
+        """This built workload as a warm-state snapshot stores it
+        (DESIGN.md §14): the workload itself, unless an override leaves
+        out state that :meth:`build` fixes from the seed alone."""
+        return self
+
+    def adopt_warm_state(self, warm: "Workload") -> None:
+        """Take over ``warm``, a snapshot's :meth:`warm_state` of a
+        workload built as this one was, in place, so every reference to
+        this workload sees the restored state. An override grafts back
+        what its ``warm_state`` left out, from this workload's build."""
+        self.__dict__.clear()
+        self.__dict__.update(warm.__dict__)
+
     def cache_key(self) -> str:
         """Deterministic identity for persistent result caching.
 

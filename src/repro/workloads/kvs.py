@@ -23,6 +23,7 @@ Per request:
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, replace
 from typing import List, Optional, Tuple
 
@@ -122,6 +123,29 @@ class KvsWorkload(Workload):
         self._op_batch = np.empty(0)
         self._op_pos = 0
         self._built = True
+
+    def warm_state(self) -> "KvsWorkload":
+        """A shallow copy without the arrays :meth:`build` fixes from the
+        seed: the zipf key permutation, the key-to-bucket hash and, in
+        update-in-place mode, the key offsets (appends move keys, so
+        append mode keeps them). They are most of a snapshot's bytes."""
+        warm = copy.copy(self)
+        if self._built:
+            # A plain attribute copy: copy.copy would run the zipf's
+            # __setstate__, which allocates a batch of converted ids.
+            warm._zipf = object.__new__(ZipfGenerator)
+            warm._zipf.__dict__.update(self._zipf.__dict__, _perm=None)
+            warm._key_bucket = None
+            if self.params.update_in_place:
+                warm._key_offset = None
+        return warm
+
+    def adopt_warm_state(self, warm: "KvsWorkload") -> None:
+        perm, buckets, offsets = self._zipf._perm, self._key_bucket, self._key_offset
+        super().adopt_warm_state(warm)
+        self._zipf._perm, self._key_bucket = perm, buckets
+        if self._key_offset is None:  # update-in-place mode
+            self._key_offset = offsets
 
     def _refill_ops(self) -> None:
         self._op_batch = self._rng.random(8192)

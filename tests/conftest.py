@@ -46,15 +46,34 @@ def make_tiny_system(
     llc_sets: int = 64,
     llc_replacement: str = "random",
     num_channels: int = 4,
+    private_replacement: str = "lru",
+    l1_ways: int = 4,
+    l2_ways: int = 8,
+    llc_ways: int = 12,
 ) -> SystemConfig:
-    """A miniature Table-I machine: RX footprint >> DDIO capacity."""
+    """A miniature Table-I machine: RX footprint >> DDIO capacity.
+
+    ``private_replacement`` and the ``*_ways`` arguments vary the cache
+    geometry for tests that cover every replacement path; the L1 and L2
+    keep their sizes (4 KB and 16 KB), so fewer ways means more sets.
+    """
     return SystemConfig(
         cpu=CpuParams(num_cores=num_cores),
-        l1=CacheParams(size_bytes=4096, ways=4, latency_cycles=4),
-        l2=CacheParams(size_bytes=16384, ways=8, latency_cycles=14),
+        l1=CacheParams(
+            size_bytes=4096,
+            ways=l1_ways,
+            latency_cycles=4,
+            replacement=private_replacement,
+        ),
+        l2=CacheParams(
+            size_bytes=16384,
+            ways=l2_ways,
+            latency_cycles=14,
+            replacement=private_replacement,
+        ),
         llc=CacheParams(
-            size_bytes=llc_sets * 12 * 64,
-            ways=12,
+            size_bytes=llc_sets * llc_ways * 64,
+            ways=llc_ways,
             latency_cycles=35,
             replacement=llc_replacement,
         ),

@@ -27,6 +27,7 @@ import importlib
 import json
 import random
 
+import numpy as np
 import pytest
 
 from repro.cache.hierarchy import AccessLevel, CacheHierarchy
@@ -77,10 +78,45 @@ def _block_list(rng, blocks: int):
     return [rng.randrange(blocks) for _ in range(n)]
 
 
+#: make_tiny_system arguments per fuzzed geometry. Besides both LLC
+#: policies: random-replacement L1/L2, a set count that is not a power
+#: of two (the modulo indexing the full-scale LLC's 49,152 sets takes),
+#: and 1- and 2-way caches, where a scan has one or two ways to pick.
+FUZZ_SYSTEMS = {
+    "random": dict(llc_replacement="random"),
+    "lru": dict(llc_replacement="lru"),
+    "random-private-48-sets": dict(private_replacement="random", llc_sets=48),
+    "lru-48-sets": dict(llc_replacement="lru", llc_sets=48),
+    "narrow-lru": dict(
+        llc_replacement="lru", l1_ways=1, l2_ways=2, llc_ways=2, ddio_ways=1
+    ),
+    "narrow-random": dict(
+        private_replacement="random",
+        l1_ways=1,
+        l2_ways=2,
+        llc_ways=2,
+        llc_sets=48,
+        ddio_ways=1,
+    ),
+}
+
+
+def _assert_batch_state_sound(oracle, batch, where: str) -> None:
+    """The batch side's stamp invariant, and its LCGs in step with the
+    oracle's: an LRU slot is invalid exactly when its stamp is -1 (the
+    kernel's victim argmin rests on it)."""
+    for ca, cb in zip(oracle.all_caches(), batch.all_caches()):
+        assert int(cb.lcg[0]) == ca._lcg, f"{where}: {cb.name} lcg"
+        if cb.params.replacement == "lru":
+            assert np.array_equal(cb.tags == -1, cb.stamp == -1), (
+                f"{where}: {cb.name} tags/stamps disagree on invalid slots"
+            )
+
+
 @needs_kernel
-@pytest.mark.parametrize("llc_replacement", ["random", "lru"])
-def test_hierarchy_fuzz_identical(llc_replacement):
-    system = make_tiny_system(num_cores=2, llc_replacement=llc_replacement)
+@pytest.mark.parametrize("geometry", sorted(FUZZ_SYSTEMS))
+def test_hierarchy_fuzz_identical(geometry):
+    system = make_tiny_system(num_cores=2, **FUZZ_SYSTEMS[geometry])
     oracle = CacheHierarchy(system)
     batch = build_hierarchy(system, "batch")
     assert isinstance(batch, BatchHierarchy)
@@ -89,6 +125,9 @@ def test_hierarchy_fuzz_identical(llc_replacement):
     blocks = 4 * system.llc.num_blocks
     counts_a = {lv: 0 for lv in AccessLevel}
     counts_b = {lv: 0 for lv in AccessLevel}
+
+    # at most 4 ways per reconfigured mask (fewer in a narrower LLC)
+    narrow = min(4, system.llc.ways) + 1
 
     def random_ways():
         # unsorted, so the mask scan order matters
@@ -160,7 +199,7 @@ def test_hierarchy_fuzz_identical(llc_replacement):
             choice = rng.randrange(3)
             if choice == 0:
                 ways = sorted(
-                    rng.sample(range(system.llc.ways), rng.randrange(1, 5))
+                    rng.sample(range(system.llc.ways), rng.randrange(1, narrow))
                 )
                 a = oracle.set_ddio_way_mask(ways)
                 b = batch.set_ddio_way_mask(ways)
@@ -168,7 +207,7 @@ def test_hierarchy_fuzz_identical(llc_replacement):
                 mask = (
                     None
                     if rng.random() < 0.3
-                    else rng.sample(range(system.llc.ways), rng.randrange(1, 5))
+                    else rng.sample(range(system.llc.ways), rng.randrange(1, narrow))
                 )
                 a = oracle.set_core_fill_mask(core, mask)
                 b = batch.set_core_fill_mask(core, mask)
@@ -178,6 +217,7 @@ def test_hierarchy_fuzz_identical(llc_replacement):
                 batch.victim_fill_clean = flag
                 a = b = flag
         assert a == b, f"step {step} op {op}: {a!r} != {b!r}"
+        _assert_batch_state_sound(oracle, batch, f"step {step} op {op}")
 
     assert counts_a == counts_b
     assert oracle.traffic.snapshot() == batch.traffic.snapshot()
@@ -570,3 +610,26 @@ def test_batch_engine_falls_back_without_kernel(monkeypatch, tmp_path, capsys):
     assert result_identity(result) == result_identity(sim("object").run())
     with pytest.raises(ConfigError, match="no C compiler"):
         native.load_kernel()
+
+
+@needs_kernel
+def test_compile_command_keys_the_cached_build(monkeypatch, tmp_path):
+    """The cached library is keyed by the compiler and flags as well as
+    the source: a change to either builds afresh, never reusing the
+    old build."""
+    monkeypatch.setenv("REPRO_NATIVE_DIR", str(tmp_path / "native"))
+    first = native.build_library()
+    assert native.build_library() == first
+
+    monkeypatch.setattr(native, "CFLAGS", ("-O1", "-fPIC", "-shared"))
+    reflagged = native.build_library()
+    assert reflagged != first and reflagged.exists()
+
+    # Another compiler binary: a wrapper around the same one.
+    wrapper = tmp_path / "othercc"
+    wrapper.write_text(f'#!/bin/sh\nexec {native._find_compiler()} "$@"\n')
+    wrapper.chmod(0o755)
+    monkeypatch.setattr(native, "_find_compiler", lambda: str(wrapper))
+    recompiled = native.build_library()
+    assert recompiled not in (first, reflagged) and recompiled.exists()
+    assert len(list((tmp_path / "native").glob("batchcore-*.so"))) == 3

@@ -29,11 +29,12 @@ from repro.engine.parallel import (
 )
 from repro.engine.tracer import TraceConfig, TraceSimulator
 from repro.errors import ConfigError
-from repro.experiments import fig9
+from repro.experiments import fig5, fig9
 from repro.experiments.common import (
     ExperimentSettings,
     kvs_system,
     kvs_workload,
+    l3fwd_workload,
     point_spec,
 )
 from repro.nic.arrivals import BurstProfile
@@ -41,6 +42,8 @@ from repro.obs.manifest import runs_dir
 from repro.serve import JobScheduler
 from repro.serve.jobs import TERMINAL_STATES, JobRequest
 from repro.sidechannel.observer import ObserverConfig
+from repro.workloads.kvs import KvsParams, KvsWorkload
+from repro.workloads.spiky import SpikyKvsWorkload
 from repro.workloads.zipf import ZipfGenerator
 
 SCALE = 0.05
@@ -229,6 +232,53 @@ class TestBitIdentity:
         assert results[1].warm_restored
         for fresh, restored in zip(baseline, results):
             assert_bit_identical(fresh, restored)
+
+    @pytest.mark.parametrize("workload", ["kvs-append", "spiky-kvs", "l3fwd"])
+    def test_every_workload_restores_bit_identically(
+        self, cache_dir, monkeypatch, engine, workload
+    ):
+        # In-place KVS is the sweeps above. A KVS snapshot leaves out the
+        # arrays its build fixes from the seed (append mode keeps the key
+        # offsets, which its SETs move); the restoring simulator grafts
+        # its own back in.
+        params = KvsParams(item_bytes=512).scaled(0.02)
+        built = {
+            "kvs-append": lambda: KvsWorkload(
+                dataclasses.replace(params, update_in_place=False)
+            ),
+            "spiky-kvs": lambda: SpikyKvsWorkload(params),
+            "l3fwd": lambda: l3fwd_workload(512),
+        }[workload]
+        monkeypatch.setenv("REPRO_ENGINE", engine)
+        specs = [
+            sweep_spec(
+                f"ways {w}",
+                measure_ways=w,
+                workload=built(),
+                warmup_requests=1000,
+                measure_requests=1000,
+            )
+            for w in (2, 3)
+        ]
+        baseline = self._baseline(specs, monkeypatch)
+        results = run_points(specs, max_workers=1)
+        assert [r.warm_restored for r in results] == [False, True]
+        for fresh, restored in zip(baseline, results):
+            assert_bit_identical(fresh, restored)
+
+
+def test_kvs_snapshot_leaves_out_seed_fixed_arrays(cache_dir):
+    """The first scale-0.05 fig5 point's snapshot holds no key
+    permutation, bucket hash or (in-place) key offsets: 4.3 MB with
+    them, about 1.4 MB without."""
+    (spec, *_) = fig5.specs(SETTINGS)
+    assert spec.workload.params.update_in_place
+    run_spec(spec)
+    (snap,) = list(cache_dir.rglob("*.snap"))
+    assert snap.stat().st_size < 1_600_000
+    workload = pickle.loads(snap.read_bytes())["workload"]
+    assert workload._zipf._perm is None
+    assert workload._key_bucket is None and workload._key_offset is None
 
 
 class TestParallelRestores:
