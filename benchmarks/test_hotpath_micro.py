@@ -26,7 +26,6 @@ from repro.experiments.common import (
     point_spec,
 )
 from repro.engine.parallel import run_spec
-from repro.engine.tracer import TraceSimulator
 from repro.errors import ConfigError
 from repro.mem.layout import RegionKind
 from repro.params import CacheParams, SystemConfig
@@ -207,7 +206,7 @@ def test_batch_engine_speedup(results_dir):
     assert speedup > 2.0
 
 
-def test_policy_zoo_bench(results_dir, monkeypatch):
+def test_policy_zoo_bench(results_dir):
     """Per-policy timings of the zoo's headline point -> BENCH_pr8.json.
 
     One reference point (the deep-backlog end of the policy-zoo
@@ -245,14 +244,10 @@ def test_policy_zoo_bench(results_dir, monkeypatch):
 
     points = {policy: bench(policy) for policy in POLICY_SPECS}
     ddio = points["ddio"]
-    # The zoo policies always take the per-request loop; on the batch
-    # engine plain DDIO takes the fused native loop. The slowdown guard
-    # below compares policies on the same loop, so it also times DDIO
-    # with the fused loop turned off.
-    with monkeypatch.context() as m:
-        m.setattr(TraceSimulator, "_fusable", lambda self: False)
-        ddio_loop = bench("ddio")
-    assert ddio_loop.trace.cache_totals == ddio.trace.cache_totals
+    # Every policy, the zoo's included, takes the same loop as plain
+    # DDIO: the fused native loop on the batch engine, the per-request
+    # loop on the object engine. So the slowdown guard below compares
+    # each zoo policy with DDIO itself.
     payload = {
         "benchmark": "hotpath_micro/policy_zoo",
         "point": "kvs 1024B, 1024 buffers, 2 ways, D=16 @ scale 0.1",
@@ -290,7 +285,7 @@ def test_policy_zoo_bench(results_dir, monkeypatch):
         # ...without catastrophically slowing the hot path (their
         # bookkeeping is O(1) per buffer by design).
         assert points[policy].sim_seconds < 5.0 * max(
-            ddio_loop.sim_seconds, 0.1
+            ddio.sim_seconds, 0.1
         ), policy
 
 

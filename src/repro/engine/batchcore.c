@@ -562,6 +562,11 @@ void bc_dma_tx_read_run(BHier *h, int64_t core, int64_t start, int64_t n)
 #define POLICY_DMA 1
 #define POLICY_IDEAL 2
 
+/* Zoo buffer managers on top of POLICY_DDIO (repro/nic/zoo.py). */
+#define ZOO_NONE 0
+#define ZOO_OCCAMY 1
+#define ZOO_RDCA 2
+
 #define KIND_RX 0
 #define KIND_TX 1
 
@@ -571,17 +576,21 @@ void bc_dma_tx_read_run(BHier *h, int64_t core, int64_t start, int64_t n)
 #define LOOP_RELINQUISH_CALLS 2
 #define LOOP_CLSWEEPS 3
 #define LOOP_LINES_DROPPED 4
-#define LOOP_LEVELS 5
+#define LOOP_ZOO_EVICTIONS 5
+#define LOOP_LEVELS 6
 
 /* Ring geometry, per-core cursors and the switches service_one reads.
- * The cursors are copies of the Python ring fields, synced around each
- * call by the caller. */
+ * The cursors and zoo windows are copies of the Python ring fields and
+ * the zoo policy's buffer dicts, synced around each call by the caller. */
 typedef struct {
     int64_t num_cores;
     int64_t policy;        /* POLICY_* */
     int64_t relinquish;    /* CPU relinquish after a copied response */
     int64_t zc_sweep;      /* NIC sweeps a zero-copy RX buffer */
     int64_t tx_sweep;      /* NIC sweeps a copied TX buffer */
+    int64_t zoo;           /* ZOO_* */
+    int64_t zoo_limit;     /* Occamy: protect_buffers; RDCA: pool_buffers */
+    double zoo_threshold;  /* Occamy: resident blocks that start preemption */
     int64_t packet_blocks;
     int64_t rx_entries;
     int64_t tx_entries;
@@ -592,6 +601,7 @@ typedef struct {
     int64_t *rx_drops;
     int64_t *rx_posted;
     int64_t *tx_next;
+    int64_t *window;       /* per core: buffers the zoo policy tracks */
     int64_t *counts;       /* LOOP_* cells, accumulated */
 } BLoop;
 
@@ -618,6 +628,55 @@ static void nic_transmit(BHier *h, BLoop *q, int64_t core, int64_t start,
     if (sweep)
         q->counts[LOOP_NIC_SWEEPS] += bc_sweep_run(h, core, start, n);
     q->counts[LOOP_TRANSMISSIONS] += 1;
+}
+
+/* Write back and drop every block of RX slot ``slot`` (a zoo eviction). */
+static void zoo_evict(BHier *h, BLoop *q, int64_t core, int64_t slot)
+{
+    int64_t blk = q->rx_base[core] + (slot % q->rx_entries) * q->packet_blocks;
+    for (int64_t b = blk; b < blk + q->packet_blocks; b++)
+        bc_invalidate_block(h, core, b, /*discard_dirty=*/0);
+    q->counts[LOOP_ZOO_EVICTIONS] += 1;
+}
+
+/* The zoo policy's bookkeeping for posting absolute RX slot ``slot``,
+ * before its write: a port of OccamyPolicy/RdcaPolicy.rx_write_run.
+ * Each keeps a per-core, insertion-ordered dict of posted buffers, and
+ * rings post slots in cyclic order, so the dict always holds exactly
+ * the core's last W posted slots in post order (the caller checks it).
+ * W therefore stands for the whole dict: the slot being posted is
+ * already tracked iff W == rx_entries (it is then the oldest entry),
+ * and the oldest entry is the slot W posts back. ``resident`` is
+ * Occamy's tracked block count over all cores, packet_blocks * sum(W). */
+static void zoo_post(BHier *h, BLoop *q, int64_t core, int64_t slot,
+                     int64_t *resident)
+{
+    int64_t *w = q->window + core;
+    if (q->zoo == ZOO_OCCAMY) {
+        /* A tracked slot moves to the newest end; a new one is added. */
+        if (*w < q->rx_entries) {
+            *w += 1;
+            *resident += q->packet_blocks;
+        }
+        /* The window is now slots slot-W+1 .. slot. */
+        while ((double)*resident > q->zoo_threshold && *w > q->zoo_limit) {
+            if (*w == 1)
+                break; /* the oldest is the new buffer */
+            zoo_evict(h, q, core, slot - *w + 1);
+            *w -= 1;
+            *resident -= q->packet_blocks;
+        }
+    } else {
+        /* A tracked slot is popped; the window is then slots
+         * slot-W .. slot-1. */
+        if (*w == q->rx_entries)
+            *w -= 1;
+        while (*w >= q->zoo_limit) {
+            zoo_evict(h, q, core, slot - *w);
+            *w -= 1;
+        }
+        *w += 1;
+    }
 }
 
 /* bc_run_requests' return when ``ops`` is not exactly ``count``
@@ -664,6 +723,10 @@ int64_t bc_run_requests(BHier *h, BLoop *q, int64_t start, int64_t count,
         return RUN_BAD_OPS;
     const int64_t pb = q->packet_blocks;
     int64_t *levels = q->counts + LOOP_LEVELS;
+    int64_t resident = 0;
+    if (q->zoo != ZOO_NONE)
+        for (int64_t c = 0; c < q->num_cores; c++)
+            resident += q->window[c] * pb;
     for (int64_t k = 0; k < count; k++) {
         int64_t core = (start + k) % q->num_cores;
 
@@ -678,6 +741,8 @@ int64_t bc_run_requests(BHier *h, BLoop *q, int64_t start, int64_t count,
             }
             int64_t slot = q->rx_head[core]++;
             q->rx_posted[core] += 1;
+            if (q->zoo != ZOO_NONE)
+                zoo_post(h, q, core, slot, &resident);
             int64_t blk = q->rx_base[core] + (slot % q->rx_entries) * pb;
             if (q->policy == POLICY_DDIO)
                 bc_nic_llc_write_run(h, core, blk, pb, KIND_RX);

@@ -26,7 +26,7 @@ import os
 import shutil
 import subprocess
 import tempfile
-from ctypes import POINTER, c_int64, c_uint8
+from ctypes import POINTER, c_double, c_int64, c_uint8
 from pathlib import Path
 from typing import Optional
 
@@ -82,6 +82,9 @@ class BLoop(ctypes.Structure):
         ("relinquish", c_int64),
         ("zc_sweep", c_int64),
         ("tx_sweep", c_int64),
+        ("zoo", c_int64),
+        ("zoo_limit", c_int64),
+        ("zoo_threshold", c_double),
         ("packet_blocks", c_int64),
         ("rx_entries", c_int64),
         ("tx_entries", c_int64),
@@ -92,6 +95,7 @@ class BLoop(ctypes.Structure):
         ("rx_drops", POINTER(c_int64)),
         ("rx_posted", POINTER(c_int64)),
         ("tx_next", POINTER(c_int64)),
+        ("window", POINTER(c_int64)),
         ("counts", POINTER(c_int64)),
     ]
 

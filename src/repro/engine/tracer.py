@@ -26,8 +26,12 @@ batch engine, ``run_requests`` instead has the workload encode each
 segment's ops (``Workload.encode_segment``, one numpy pass for the KVS
 and L3fwd workloads) and runs the whole segment in one
 ``bc_run_requests`` kernel call, when the simulator's objects allow it
-(``_fusable``). The ring, NIC and Sweeper objects stay the source of
-truth between calls (DESIGN.md §11, "Fused request loop").
+(``_fusable``). The ring, NIC, Sweeper and policy objects stay the
+source of truth between calls (DESIGN.md §11, "Fused request loop").
+Every injection policy fuses, the zoo's Occamy and RDCA included: their
+per-core buffer dicts are always the ring's last ``W`` posted slots,
+because rings post in cyclic order, so the kernel carries each as one
+window length (``_zoo_windows``).
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from __future__ import annotations
 import copy
 import ctypes
 from dataclasses import dataclass, field, replace
-from typing import Dict, Optional
+from typing import Dict, List, NamedTuple, Optional
 
 import numpy as np
 
@@ -57,6 +61,7 @@ from repro.nic.ddio import (
 )
 from repro.nic.qp import NicEngine, QueuePair
 from repro.nic.rings import RxRing, TxRing, build_rings
+from repro.nic.zoo import OccamyPolicy, RdcaPolicy
 from repro.obs import events as obs_events
 from repro.obs.timeline import ObsContext
 from repro.params import SystemConfig
@@ -169,23 +174,28 @@ class TraceResult:
 #: matters for hand-fed states in tests. Version 2: a pickled
 #: ZipfGenerator carries its uniforms, not its CDF and item ids.
 #: Version 3: the workload is its ``warm_state()``, which for KVS leaves
-#: out the arrays its build fixes from the seed.
-WARM_STATE_VERSION = 3
+#: out the arrays its build fixes from the seed. Version 4: a
+#: random-replacement SoA cache carries no ``stamp`` array.
+WARM_STATE_VERSION = 4
 
 
 def _capture_cache(cache) -> Dict[str, object]:
     """Picklable copy of one cache's mutable state (stats excluded —
-    they are reset at the warmup->measure boundary anyway)."""
+    they are reset at the warmup->measure boundary anyway). Only an LRU
+    cache ever writes a recency stamp; a random one's stamps are all -1,
+    so its capture leaves them out."""
     if isinstance(cache, SoaCache):
-        return {
+        state = {
             "cls": "soa",
             "tags": cache.tags.copy(),
             "dirty": cache.dirty.copy(),
             "kind": cache.kind.copy(),
-            "stamp": cache.stamp.copy(),
             "tick": int(cache.tick[0]),
             "lcg": int(cache.lcg[0]),
         }
+        if not cache._random_replacement:
+            state["stamp"] = cache.stamp.copy()
+        return state
     return {
         "cls": "object",
         "maps": [dict(m) for m in cache._maps],
@@ -199,7 +209,11 @@ def _capture_cache(cache) -> Dict[str, object]:
 def _cache_state_matches(cache, st) -> bool:
     try:
         if isinstance(cache, SoaCache):
-            return st["cls"] == "soa" and len(st["tags"]) == len(cache.tags)
+            return (
+                st["cls"] == "soa"
+                and len(st["tags"]) == len(cache.tags)
+                and ("stamp" in st) != cache._random_replacement
+            )
         return (
             st["cls"] == "object"
             and len(st["maps"]) == cache.num_sets
@@ -216,7 +230,7 @@ def _restore_cache(cache, st) -> None:
         cache.tags[:] = st["tags"]
         cache.dirty[:] = st["dirty"]
         cache.kind[:] = st["kind"]
-        cache.stamp[:] = st["stamp"]
+        cache.stamp[:] = st["stamp"] if "stamp" in st else -1
         cache.tick[0] = st["tick"]
         cache.lcg[0] = st["lcg"]
     else:
@@ -232,17 +246,77 @@ def _restore_cache(cache, st) -> None:
 #: requests per fused kernel call; bounds the op buffer, not results
 _SEGMENT = 2048
 
-#: built-in injection policies the fused loop runs, by kernel code
-_POLICY_CODES = {DdioPolicy: 0, DmaPolicy: 1, IdealDdioPolicy: 2}
+#: injection policies the fused loop runs, by kernel POLICY_* code
+_POLICY_CODES = {
+    DdioPolicy: 0,
+    DmaPolicy: 1,
+    IdealDdioPolicy: 2,
+    OccamyPolicy: 0,
+    RdcaPolicy: 0,
+}
+
+
+class _Zoo(NamedTuple):
+    """How the fused loop drives one zoo policy: its kernel ZOO_* code
+    and the names of its per-core buffer dict, its eviction bound and
+    its eviction counter."""
+
+    code: int
+    tracked: str
+    bound: str
+    counter: str
+
+
+_ZOO = {
+    OccamyPolicy: _Zoo(1, "_posted", "protect_buffers", "preempted"),
+    RdcaPolicy: _Zoo(2, "_pool", "pool_buffers", "pool_evictions"),
+}
+
+
+def _zoo_windows(sim: "TraceSimulator") -> Optional[List[int]]:
+    """Each core's window length W for a zoo policy's buffer dict.
+
+    ``bc_run_requests`` carries a zoo policy's per-core dict as one
+    integer, which holds only while the dict is exactly the last W slots
+    its core's RX ring posted, in post order, each keyed by its first
+    block (what ``_refill_ring`` leaves, posting in cyclic order).
+    Returns None when some dict is not, when Occamy's resident count is
+    not ``packet_blocks * sum(W)``, or when RDCA's pool bound is below 1.
+    """
+    policy, rings = sim.policy, sim.rx_rings
+    zoo = _ZOO[type(policy)]
+    tracked = getattr(policy, zoo.tracked)
+    if not set(tracked) <= set(range(len(rings))):
+        return None
+    windows = []
+    for core, ring in enumerate(rings):
+        entries = tracked.get(core, {})
+        first = ring.head - len(entries)
+        if first < 0 or len(entries) > ring.num_entries:
+            return None
+        for slot, (start, blocks) in enumerate(entries.items(), first):
+            expect = ring.slot_blocks(slot)
+            if type(blocks) is not range or blocks != expect:
+                return None
+            if start != expect.start:
+                return None
+        windows.append(len(entries))
+    if type(policy) is OccamyPolicy:
+        if policy._resident_blocks != sim._packet_blocks * sum(windows):
+            return None
+    elif getattr(policy, zoo.bound) < 1:
+        return None
+    return windows
 
 
 class _FusedLoop:
     """Ring geometry and cursor buffers for ``bc_run_requests``.
 
-    The Python rings, NIC and Sweeper stay the source of truth between
-    calls (the observer, snapshots and the epoch sampler read them):
-    each call copies the ring cursors in and back out, then adds the
-    call's transmissions, sweeps and level counts to their counters.
+    The Python rings, NIC, Sweeper and zoo policy stay the source of
+    truth between calls (the observer, snapshots and the epoch sampler
+    read them): each call copies the ring cursors and a zoo policy's
+    windows in and back out, then adds the call's transmissions, sweeps,
+    zoo evictions and level counts to their counters.
     """
 
     def __init__(self, sim: "TraceSimulator") -> None:
@@ -256,9 +330,12 @@ class _FusedLoop:
             ],
             dtype=np.int64,
         )
+        #: per core: the zoo policy's window length W (see _zoo_windows)
+        self.windows = np.zeros(cores, dtype=np.int64)
         #: LOOP_* cells of batchcore.c: transmissions, NIC sweeps,
-        #: relinquish calls, clsweeps, lines dropped, then AccessLevel
-        self.counts = np.zeros(10, dtype=np.int64)
+        #: relinquish calls, clsweeps, lines dropped, zoo evictions, then
+        #: AccessLevel
+        self.counts = np.zeros(11, dtype=np.int64)
         p_i64 = ctypes.POINTER(ctypes.c_int64)
         c = self.cursors
         self.struct = native.BLoop(
@@ -273,6 +350,7 @@ class _FusedLoop:
             rx_drops=c[2].ctypes.data_as(p_i64),
             rx_posted=c[3].ctypes.data_as(p_i64),
             tx_next=c[4].ctypes.data_as(p_i64),
+            window=self.windows.ctypes.data_as(p_i64),
             counts=self.counts.ctypes.data_as(p_i64),
         )
 
@@ -285,9 +363,23 @@ class _FusedLoop:
         ops: np.ndarray,
     ) -> None:
         """Service requests ``start..start+count-1`` in one kernel call."""
-        cfg, rx, tx = sim.cfg, sim.rx_rings, sim.tx_rings
+        cfg, rx, tx, policy = sim.cfg, sim.rx_rings, sim.tx_rings, sim.policy
         st = self.struct
-        st.policy = _POLICY_CODES[type(sim.policy)]
+        st.policy = _POLICY_CODES[type(policy)]
+        zoo = _ZOO.get(type(policy))
+        st.zoo = 0
+        if zoo is not None:
+            windows = _zoo_windows(sim)
+            if windows is None:
+                raise ProtocolError(
+                    f"{policy.name}: buffer dict is not its RX rings' "
+                    "last posted slots"
+                )
+            self.windows[:] = windows
+            st.zoo, st.zoo_limit = zoo.code, getattr(policy, zoo.bound)
+            if type(policy) is OccamyPolicy:
+                capacity = sim.hier.llc.num_sets * len(sim.hier.ddio_way_mask)
+                st.zoo_threshold = policy.pressure_fraction * capacity
         st.relinquish = int(cfg.sweeper and sim.sweeper.enabled)
         st.zc_sweep = int(cfg.sweeper)
         st.tx_sweep = int(cfg.sweeper and cfg.nic_tx_sweep)
@@ -312,7 +404,11 @@ class _FusedLoop:
             r.head, r.tail, r.drops, r.posted = h, t, d, p
         for t, n in zip(tx, nexts):
             t._next = n
-        sent, nic_swept, calls, clsweeps, dropped, _, *levels = self.counts.tolist()
+        sent, nic_swept, calls, clsweeps, dropped, evicted, _, *levels = (
+            self.counts.tolist()
+        )
+        if zoo is not None:
+            self._write_back(sim, start, zoo, evicted)
         sim.nic.transmissions += sent
         sim.nic.nic_sweeps += nic_swept
         stats = sim.sweeper.stats
@@ -325,6 +421,31 @@ class _FusedLoop:
         if done < count:
             core = (start + done) % len(rx)
             raise ProtocolError(f"core {core}: consume on empty RX ring")
+
+    def _write_back(
+        self, sim: "TraceSimulator", start: int, zoo: _Zoo, evicted: int
+    ) -> None:
+        """Rebuild the zoo policy's dicts from the call's windows: each
+        core's last W posted slots, in post order. A core's first post
+        adds its dict; those come in request order from ``start``, as
+        ``_refill_ring``'s ``setdefault`` adds them."""
+        policy, rings = sim.policy, sim.rx_rings
+        tracked = getattr(policy, zoo.tracked)
+        windows = self.windows.tolist()
+        cores = len(rings)
+        for i in range(cores):
+            core = (start + i) % cores
+            if not windows[core]:
+                continue
+            ring = rings[core]
+            entries = tracked.setdefault(core, {})
+            entries.clear()
+            for slot in range(ring.head - windows[core], ring.head):
+                blocks = ring.slot_blocks(slot)
+                entries[blocks.start] = blocks
+        setattr(policy, zoo.counter, getattr(policy, zoo.counter) + evicted)
+        if type(policy) is OccamyPolicy:
+            policy._resident_blocks = sim._packet_blocks * sum(windows)
 
 
 class TraceSimulator:
@@ -556,16 +677,18 @@ class TraceSimulator:
 
     def _fusable(self) -> bool:
         """Whether ``run_requests`` may hand whole segments to the
-        kernel's ``bc_run_requests``: the batch engine, this
-        exact class and a stateless built-in policy, and no instance
-        wrapper on a method the fused loop would bypass (per-layer
-        tracing wraps them, and must see every call)."""
+        kernel's ``bc_run_requests``: the batch engine, this exact
+        class, a policy the kernel knows (a zoo policy only while its
+        dicts are ring-order windows), and no instance wrapper on a
+        method the fused loop would bypass (per-layer tracing wraps
+        them, and must see every call)."""
         hier, policy, sweeper = self.hier, self.policy, self.sweeper
         workload = self.cfg.workload
         return (
             isinstance(hier, BatchHierarchy)
             and type(self) is TraceSimulator
             and type(policy) in _POLICY_CODES
+            and (type(policy) not in _ZOO or _zoo_windows(self) is not None)
             and (not sweeper.enabled or sweeper.permission_granted)
             and type(workload).request_cycles is Workload.request_cycles
             and "request_cycles" not in vars(workload)

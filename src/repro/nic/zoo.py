@@ -20,11 +20,16 @@ same harness:
   LRU collateral.
 
 Both are built purely from :class:`~repro.cache.hierarchy.CacheHierarchy`
-primitives that the batch engine rebinds natively
-(``nic_llc_write_run`` / ``nic_probe_read_run`` / ``invalidate_block``),
-and their internal bookkeeping depends only on the call sequence — so
-``REPRO_ENGINE=object|batch`` produce bit-identical results by
-construction, and both engines' cascade rules are inherited unchanged.
+primitives (``nic_llc_write_run`` / ``nic_probe_read_run`` /
+``invalidate_block``), so both engines' cascade rules are inherited
+unchanged. The code below is the reference the object engine runs. On
+the batch engine both policies run inside the fused request loop
+(``bc_run_requests``, DESIGN.md §11): the simulator only ever writes a
+core's buffers in its RX ring's cyclic post order, so each per-core
+dict is always that ring's last ``W`` posted slots, oldest first, and
+one window length per core is all the kernel needs to replay the
+bookkeeping. The dicts stay the source of truth between kernel calls,
+rebuilt after each one, so snapshots pickle the same object.
 
 Policy knobs are class-level defaults on purpose: a policy's identity in
 a :class:`~repro.engine.parallel.PointSpec` (and thus in the point-cache

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import importlib
 import json
+import pickle
 import random
 
 import numpy as np
@@ -303,24 +304,156 @@ def test_fig_harness_equivalence(fig):
             assert obj_sim.observer.records == bat_sim.observer.records
 
 
-@pytest.mark.parametrize("policy", ["occamy", "rdca"])
-@pytest.mark.parametrize("sweeper", [False, True])
-def test_zoo_policy_equivalence(policy, sweeper):
-    """The policy zoo's members are engine-equivalent by construction
-    (hierarchy primitives only); this enforces it end to end."""
-    def run(engine):
-        cfg = TraceConfig(
-            system=make_tiny_system(num_cores=2),
-            workload=make_tiny_kvs(),
-            policy=policy,
-            sweeper=sweeper,
-            warmup_requests=192,
-            measure_requests=256,
-            engine=engine,
-        )
-        return TraceSimulator(cfg).run()
+#: zoo geometries, as (make_tiny_system arguments, policy attributes,
+#: backlog target D): the tiny system, where Occamy's preemption stops
+#: at ``protect_buffers``; 16 RX entries, fewer than either policy's
+#: bound, so every post re-posts a slot still tracked; 8 DDIO ways,
+#: where Occamy's footprint stays at its pressure threshold and the
+#: threshold stops each preemption; and no protected buffers, where
+#: Occamy preempts down to the buffer it is writing. With D > 1 the
+#: newest buffers are still unconsumed, so evicting the wrong end
+#: changes the cache even when Sweeper has dropped consumed buffers.
+ZOO_GEOMETRIES = {
+    "tiny": ({}, {}, 1),
+    "short-ring": (dict(rx_buffers=16), {}, 4),
+    "wide-ddio": (dict(ddio_ways=8), {}, 4),
+    "unprotected": ({}, dict(protect_buffers=0), 4),
+}
 
-    _assert_results_equal(run("object"), run("batch"))
+ZOO_CASES = [
+    pytest.param(sweeper, policy, "tiny", id=f"{sweeper}-{policy}")
+    for sweeper in (False, True)
+    for policy in ("occamy", "rdca")
+] + [
+    pytest.param(True, policy, geometry, id=f"{geometry}-{policy}")
+    for geometry in ("short-ring", "wide-ddio")
+    for policy in ("occamy", "rdca")
+] + [pytest.param(True, "occamy", "unprotected", id="unprotected-occamy")]
+
+
+def _zoo_sim(policy, engine, geometry="tiny", sweeper=True, obs=None):
+    """A zoo-policy simulator whose ``service_one`` counts its calls."""
+    system_kw, policy_attrs, depth = ZOO_GEOMETRIES[geometry]
+    cfg = TraceConfig(
+        system=make_tiny_system(num_cores=2, **system_kw),
+        workload=make_tiny_kvs(),
+        policy=policy,
+        sweeper=sweeper,
+        queued_depth=depth,
+        warmup_requests=192,
+        measure_requests=256,
+        engine=engine,
+    )
+    sim = TraceSimulator(cfg, obs=obs)
+    vars(sim.policy).update(policy_attrs)
+    sim.service_one = _passthrough(sim.service_one)
+    return sim
+
+
+def _zoo_evictions(policy):
+    return (
+        getattr(policy, "preempted", None),
+        getattr(policy, "pool_evictions", None),
+    )
+
+
+def _move_oldest_to_newest(sim):
+    """Reorder core 0's zoo dict: its oldest buffer becomes the newest,
+    so the dict is no longer its ring's last posted slots in order."""
+    tracked = vars(sim.policy)
+    tracked = tracked["_posted" if "_posted" in tracked else "_pool"][0]
+    oldest = next(iter(tracked))
+    tracked[oldest] = tracked.pop(oldest)
+
+
+@pytest.mark.parametrize("sweeper,policy,geometry", ZOO_CASES)
+def test_zoo_policy_equivalence(policy, sweeper, geometry):
+    """The policy zoo's members are engine-equivalent, and on the batch
+    engine they run in the fused loop: the kernel's window bookkeeping
+    leaves the same rows, eviction counts and pickled policy as the
+    Python dicts."""
+    def run(engine):
+        sim = _zoo_sim(policy, engine, geometry, sweeper)
+        return sim, sim.run()
+
+    (obj_sim, obj), (bat_sim, bat) = run("object"), run("batch")
+    _assert_results_equal(obj, bat)
+    assert obj_sim.service_one.calls == 192 + 256
+    assert (bat_sim.service_one.calls == 0) == KERNEL
+    assert (bat_sim._fused is not None) == KERNEL
+    evictions = _zoo_evictions(obj_sim.policy)
+    assert _zoo_evictions(bat_sim.policy) == evictions
+    assert pickle.dumps(bat_sim.policy) == pickle.dumps(obj_sim.policy)
+    assert _loop_state(bat_sim) == _loop_state(obj_sim)
+    if geometry == "short-ring":
+        assert evictions in ((0, None), (None, 0))
+    else:
+        assert max(n or 0 for n in evictions) > 0
+
+
+@pytest.mark.parametrize("policy", ["occamy", "rdca"])
+def test_zoo_epoch_chunked_equivalence(policy):
+    """A zoo point measured in epoch chunks equals the unchunked run,
+    and both engines sample the same timeline."""
+    def run(engine, epoch):
+        obs = ObsContext(epoch_requests=epoch) if epoch else None
+        sim = _zoo_sim(policy, engine, "wide-ddio", obs=obs)
+        return sim, sim.run(), obs
+
+    (_, whole, _), (_, obj, obj_obs) = run("object", None), run("object", 70)
+    bat_sim, bat, bat_obs = run("batch", 70)
+    assert (bat_sim.service_one.calls == 0) == KERNEL
+    _assert_results_equal(whole, obj)
+    _assert_results_equal(whole, bat)
+    assert bat_obs.timeline == obj_obs.timeline
+
+
+@pytest.mark.parametrize("engine", ["object", "batch"])
+@pytest.mark.parametrize("policy", ["occamy", "rdca"])
+def test_zoo_restored_equivalence(policy, engine):
+    """A zoo point forked off a pickled warm state equals the point that
+    simulated its warmup, policy dicts included."""
+    states = []
+    full_sim = _zoo_sim(policy, engine, "wide-ddio")
+    # Pickled at capture, as snapshots are: the state holds live objects.
+    full = full_sim.run(on_warm=lambda state: states.append(pickle.dumps(state)))
+    (state,) = states
+    restored_sim = _zoo_sim(policy, engine, "wide-ddio")
+    restored = restored_sim.run(warm_state=pickle.loads(state))
+    assert restored_sim.warm_restored
+    fused = engine == "batch" and KERNEL
+    assert (restored_sim.service_one.calls == 0) == fused
+    _assert_results_equal(full, restored)
+    assert pickle.dumps(restored_sim.policy) == pickle.dumps(full_sim.policy)
+
+
+@needs_kernel
+@pytest.mark.parametrize("policy", ["occamy", "rdca"])
+def test_zoo_dict_out_of_ring_order_does_not_fuse(policy):
+    """The fused loop carries a zoo dict as its window length, so a dict
+    that is not the ring's last posted slots in post order (here, its
+    oldest entry moved to the newest end) must run per request, and the
+    rows stay the object engine's. Handing it to the kernel raises."""
+    sims = [
+        _zoo_sim(policy, engine, "wide-ddio") for engine in ("object", "batch")
+    ]
+    for sim in sims:
+        sim.run_requests(192)
+        _move_oldest_to_newest(sim)
+        sim.service_one.calls = 0
+        sim.run_requests(256, start=192)
+    obj_sim, bat_sim = sims
+    assert bat_sim._fused is not None  # the warmup fused
+    assert bat_sim.service_one.calls == obj_sim.service_one.calls == 256
+    assert bat_sim.hier.traffic.snapshot() == obj_sim.hier.traffic.snapshot()
+    assert bat_sim.hier.stats_totals() == obj_sim.hier.stats_totals()
+    assert bat_sim._level_counts == obj_sim._level_counts
+    assert pickle.dumps(bat_sim.policy) == pickle.dumps(obj_sim.policy)
+
+    _move_oldest_to_newest(bat_sim)
+    ops, _ = bat_sim.cfg.workload.encode_segment(448, 449, 2, 4)
+    with pytest.raises(ProtocolError, match="last posted slots"):
+        bat_sim._fused.run(bat_sim, 448, 1, None, ops)
 
 
 def test_epoch_chunked_equivalence():

@@ -45,6 +45,7 @@ from repro.sidechannel.observer import ObserverConfig
 from repro.workloads.kvs import KvsParams, KvsWorkload
 from repro.workloads.spiky import SpikyKvsWorkload
 from repro.workloads.zipf import ZipfGenerator
+from tests.conftest import make_tiny_kvs, make_tiny_system, needs_kernel
 
 SCALE = 0.05
 SETTINGS = ExperimentSettings(scale=SCALE, measure_multiplier=0.1)
@@ -279,6 +280,44 @@ def test_kvs_snapshot_leaves_out_seed_fixed_arrays(cache_dir):
     workload = pickle.loads(snap.read_bytes())["workload"]
     assert workload._zipf._perm is None
     assert workload._key_bucket is None and workload._key_offset is None
+
+
+@needs_kernel
+@pytest.mark.parametrize("replacement", ["random", "lru"])
+def test_stamps_captured_for_lru_caches_only(replacement):
+    """Only an LRU cache writes recency stamps, so a random cache's
+    capture leaves its stamp array (all -1) out, and restored ≡ full
+    warmup holds either way. An LRU cache's state without its stamps
+    does not restore."""
+    def sim():
+        system = make_tiny_system(
+            llc_replacement=replacement, private_replacement=replacement
+        )
+        return TraceSimulator(
+            TraceConfig(
+                system=system,
+                workload=make_tiny_kvs(),
+                sweeper=True,
+                warmup_requests=300,
+                measure_requests=300,
+                engine="batch",
+            )
+        )
+
+    states = []
+    full = sim().run(on_warm=lambda state: states.append(pickle.dumps(state)))
+    (blob,) = states
+    caches = pickle.loads(blob)["caches"]
+    assert len(caches) == 5
+    assert all(("stamp" in c) == (replacement == "lru") for c in caches)
+    restored_sim = sim()
+    restored = restored_sim.run(warm_state=pickle.loads(blob))
+    assert restored_sim.warm_restored
+    assert result_identity(restored) == result_identity(full)
+    if replacement == "lru":
+        unstamped = pickle.loads(blob)
+        del unstamped["caches"][-1]["stamp"]
+        assert not sim().restore_warm_state(unstamped)
 
 
 class TestParallelRestores:
