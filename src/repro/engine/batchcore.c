@@ -7,7 +7,8 @@
  * This kernel is the only code that mutates that state.
  *
  * Semantics are an exact port of repro/cache/set_assoc.py and
- * repro/cache/hierarchy.py, including:
+ * repro/cache/hierarchy.py (and, in the fused request loop, of
+ * repro/engine/tracer.py and repro/nic/zoo.py), including:
  *   - dict-order LRU reproduced as per-slot monotonically increasing
  *     recency stamps (tick++ per touch; the dict's oldest entry is the
  *     minimum-stamp valid slot; invalid slots are claimed first in
@@ -630,10 +631,16 @@ static void nic_transmit(BHier *h, BLoop *q, int64_t core, int64_t start,
     q->counts[LOOP_TRANSMISSIONS] += 1;
 }
 
+/* First block of absolute RX slot ``slot`` of ``core`` (RxRing.slot_blocks). */
+static inline int64_t rx_block(const BLoop *q, int64_t core, int64_t slot)
+{
+    return q->rx_base[core] + (slot % q->rx_entries) * q->packet_blocks;
+}
+
 /* Write back and drop every block of RX slot ``slot`` (a zoo eviction). */
 static void zoo_evict(BHier *h, BLoop *q, int64_t core, int64_t slot)
 {
-    int64_t blk = q->rx_base[core] + (slot % q->rx_entries) * q->packet_blocks;
+    int64_t blk = rx_block(q, core, slot);
     for (int64_t b = blk; b < blk + q->packet_blocks; b++)
         bc_invalidate_block(h, core, b, /*discard_dirty=*/0);
     q->counts[LOOP_ZOO_EVICTIONS] += 1;
@@ -743,7 +750,7 @@ int64_t bc_run_requests(BHier *h, BLoop *q, int64_t start, int64_t count,
             q->rx_posted[core] += 1;
             if (q->zoo != ZOO_NONE)
                 zoo_post(h, q, core, slot, &resident);
-            int64_t blk = q->rx_base[core] + (slot % q->rx_entries) * pb;
+            int64_t blk = rx_block(q, core, slot);
             if (q->policy == POLICY_DDIO)
                 bc_nic_llc_write_run(h, core, blk, pb, KIND_RX);
             else if (q->policy == POLICY_DMA)
@@ -754,7 +761,7 @@ int64_t bc_run_requests(BHier *h, BLoop *q, int64_t start, int64_t count,
         if (q->rx_head[core] - q->rx_tail[core] <= 0)
             return k;
         int64_t slot = q->rx_tail[core]++;
-        int64_t rx = q->rx_base[core] + (slot % q->rx_entries) * pb;
+        int64_t rx = rx_block(q, core, slot);
         buffer_access_run(h, q, core, rx, pb, KIND_RX, 0);
 
         /* Application work. */
