@@ -18,7 +18,7 @@ import sys
 
 from repro.engine.parallel import run_points
 from repro.experiments.common import ExperimentSettings
-from repro.experiments.fig9 import clamp, collocated_point, collocated_spec
+from repro.experiments.fig9 import clamp, collocated_spec
 from repro.report.tables import Table
 
 PARTITIONS = ((2, 10), (4, 8), (6, 6), (8, 4))
@@ -38,10 +38,10 @@ def main() -> int:
         title="Collocation Pareto frontier (paper Figure 9a)",
     )
     results = {}
-    for (a, b, sweeper), spec, point in zip(
-        keys, specs, run_points(specs, run_label="nf_collocation")
+    for (a, b, sweeper), point in zip(
+        keys, run_points(specs, run_label="nf_collocation")
     ):
-        perf = collocated_point(spec, point).perf
+        perf = point.perf  # the joint NF + X-Mem operating point
         results[(a, sweeper)] = perf
         table.add_row(
             f"({a},{b})",

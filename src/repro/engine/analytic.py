@@ -29,6 +29,7 @@ from repro.engine.tracer import TraceResult
 from repro.errors import ConfigError
 from repro.mem.dram import MAX_STABLE_UTILIZATION, DramModel
 from repro.params import CACHE_BLOCK_BYTES, SystemConfig
+from repro.traffic import MemCategory
 
 #: Core-utilization cap standing in for the paper's p99 latency SLO.
 CORE_UTILIZATION_CAP = 0.95
@@ -197,6 +198,11 @@ class CollocatedPerf:
     mem_bandwidth_gbps: float
     mem_latency_cycles: float
 
+    @property
+    def throughput_mrps(self) -> float:
+        """The NF's throughput: what a collocated point's row reports."""
+        return self.nf_throughput_mrps
+
 
 def solve_collocated(
     nf_profile: ServiceProfile,
@@ -273,6 +279,32 @@ def solve_collocated(
         xmem_ipc=effective_ipc,
         mem_bandwidth_gbps=bw,
         mem_latency_cycles=latency,
+    )
+
+
+def solve_collocated_trace(
+    trace: TraceResult, system: SystemConfig
+) -> CollocatedPerf:
+    """:func:`solve_collocated` for a ``CollocationSimulator`` trace.
+
+    The trace counts both tenants. X-Mem's traffic is the app reads and
+    evictions, so the NF's memory blocks per request are the rest; the
+    NF runs on the lower half of the cores and X-Mem on the upper half.
+    """
+    cores = system.cpu.num_cores
+    per_req = trace.per_request()
+    app = per_req[MemCategory.CPU_OTHER_RD] + per_req[MemCategory.OTHER_EVCT]
+    nf_profile = dataclasses.replace(
+        ServiceProfile.from_trace(trace),
+        mem_blocks_total=trace.mem_accesses_per_request() - app,
+    )
+    return solve_collocated(
+        nf_profile,
+        trace.xmem_level_counts,
+        app * trace.requests / max(trace.xmem_accesses, 1),
+        system,
+        nf_cores=cores // 2,
+        xmem_cores=cores - cores // 2,
     )
 
 

@@ -15,8 +15,8 @@ one execution core that ``run_points``, the serve daemon
 * :class:`PointPool` — the one owner of an executor: one in-process
   thread for 1 worker, else a process pool, rebuilt after a collapse;
 * :func:`run_attempts` — the one attempt loop: cache hits, attaches
-  to in-flight attempts and fresh submits, with retries, timeouts,
-  warmup-group holds and a point-boundary interrupt;
+  to in-flight attempts and fresh submits, with retries, timeouts
+  and a point-boundary interrupt;
 * :func:`run_points` — run a spec list, preserving order, across
   ``REPRO_WORKERS`` workers (1 = the deterministic serial path).
 
@@ -193,11 +193,6 @@ class PointSpec:
     observer: Optional[ObserverConfig] = None
     #: seeded bursty-load profile (None = constant backlog target).
     burst: Optional[BurstProfile] = None
-    #: DDIO way count applied at the warmup->measure boundary (None =
-    #: the system-wide mask throughout). The measure-phase knob that
-    #: lets a way-mask sweep share one warmup snapshot; see
-    #: :class:`repro.engine.tracer.TraceConfig`.
-    measure_ddio_ways: Optional[int] = None
     #: the X-Mem tenant sharing the LLC (None = the NF alone); runs the
     #: point on a :class:`repro.engine.tracer.CollocationSimulator`.
     colocation: Optional[Colocation] = None
@@ -207,9 +202,8 @@ class PointSpec:
 
         The label is presentation-only and deliberately excluded;
         :func:`run_cached_spec` re-stamps it on cache hits. The
-        observer, burst, measure-override and colocation lines are
-        appended only when set, so every pre-existing fingerprint layout
-        is unchanged.
+        observer, burst and colocation lines are appended only when
+        set, so every pre-existing fingerprint layout is unchanged.
         """
         key = "\n".join(
             (
@@ -232,8 +226,6 @@ class PointSpec:
             key += "\nobserver=" + repr(self.observer)
         if self.burst is not None:
             key += "\nburst=" + repr(self.burst)
-        if self.measure_ddio_ways is not None:
-            key += "\nmeasure_ddio_ways=" + repr(self.measure_ddio_ways)
         if self.colocation is not None:
             key += "\ncolocation=" + repr(self.colocation)
         return key
@@ -244,12 +236,11 @@ class PointSpec:
         Everything that influences simulator state through the last
         warmup request — system, workload, policy, switches, seed,
         warmup count, burst profile, colocation — and nothing that only
-        shapes the measured window (measure count, measure-phase DDIO
-        override, observer, label). Two specs with equal warmup keys
-        fork their measured windows off one shared warm-state snapshot
-        (:mod:`repro.engine.snapshot`). Any field added to this key
-        must be added to :meth:`cache_key` too (the point identity
-        must always subsume the warmup identity).
+        shapes the measured window (measure count, observer, label). A
+        spec restores the warm-state snapshot of an earlier spec with
+        the same warmup key (:mod:`repro.engine.snapshot`). Any field
+        added to this key must be added to :meth:`cache_key` too (the
+        point identity must always subsume the warmup identity).
         """
         key = "\n".join(
             (
@@ -292,8 +283,15 @@ def run_spec(spec: PointSpec, run_dir: Optional[str] = None):
     when ``run_dir`` is given the timeline is written to
     ``<run_dir>/timelines/`` and the result's ``timeline_file`` records
     the manifest-relative path.
+
+    The result's ``perf`` is the point's peak throughput, or for a
+    collocated point the joint NF + X-Mem operating point.
     """
-    from repro.engine.analytic import ServiceProfile, solve_peak_throughput
+    from repro.engine.analytic import (
+        ServiceProfile,
+        solve_collocated_trace,
+        solve_peak_throughput,
+    )
     from repro.engine.tracer import (
         CollocationSimulator,
         TraceConfig,
@@ -314,7 +312,6 @@ def run_spec(spec: PointSpec, run_dir: Optional[str] = None):
         measure_requests=spec.measure_requests,
         observer=spec.observer,
         burst=spec.burst,
-        measure_ddio_ways=spec.measure_ddio_ways,
     )
     obs = ObsContext.from_env()
     log.debug("point.simulate", label=spec.label, pid=os.getpid())
@@ -344,7 +341,6 @@ def run_spec(spec: PointSpec, run_dir: Optional[str] = None):
     elapsed = time.perf_counter() - start
     if warm_state is not None:
         if sim.warm_restored:
-            snapshot.counters["restored"] += 1
             log.debug(
                 "snapshot.restore",
                 label=spec.label,
@@ -356,7 +352,6 @@ def run_spec(spec: PointSpec, run_dir: Optional[str] = None):
             # not match this simulator (stale schema, foreign engine),
             # so the warmup was simulated normally — logged, never
             # silent, and bit-identical to the no-snapshot path.
-            snapshot.counters["fallbacks"] += 1
             log.warning(
                 "snapshot.fallback",
                 label=spec.label,
@@ -375,7 +370,10 @@ def run_spec(spec: PointSpec, run_dir: Optional[str] = None):
         write_jsonl(Path(run_dir) / rel, sim.observer.records)
         probe_file = str(rel)
     profile = ServiceProfile.from_trace(trace)
-    perf = solve_peak_throughput(profile, spec.system)
+    if spec.colocation is None:
+        perf = solve_peak_throughput(profile, spec.system)
+    else:
+        perf = solve_collocated_trace(trace, spec.system)
     return PointResult(
         label=spec.label,
         system=spec.system,
@@ -633,23 +631,15 @@ def run_attempts(
       abandoned attempt stays a candidate: the first of the point's
       attempts to return a result resolves it, the others are
       cancelled or ignored, so ``on_done`` runs once per point.
-    * Followers of a warmup group (:func:`snapshot.warmup_groups`) are
-      held until their leader resolves, so one attempt simulates the
-      shared warmup and the followers restore it. A leader is never
-      held, and both of its terminal paths release its followers.
     * Once ``interrupted()`` is true nothing is acquired or retried:
       attempts already running are waited for and recorded, every
       other point is left unresolved (skipped).
 
-    ``on_done(i, source, result)`` runs before a leader's followers are
-    released; ``on_retry(i, attempt, error, delay)`` and
+    ``on_done(i, source, result)`` records a resolved point;
+    ``on_retry(i, attempt, error, delay)`` and
     ``on_failed(i, attempt, error)`` report the charged failures.
     """
-    holds = {
-        idxs[0]: idxs[1:] for idxs in snapshot.warmup_groups(specs).values()
-    }
-    held = {i for followers in holds.values() for i in followers}
-    ready = [i for i in range(len(specs)) if i not in held]  # a heap
+    ready = list(range(len(specs)))  # a heap
     delayed: List[Tuple[float, int]] = []
     pending: Dict[Future, Tuple[int, str, float]] = {}
     # An abandoned straggler stays in ``pending`` as an "abandoned"
@@ -674,8 +664,6 @@ def run_attempts(
             for fut in [f for f, entry in pending.items() if entry[0] == i]:
                 if pending.pop(fut)[1] == "simulated":
                     fut.cancel()
-        for j in holds.pop(i, ()):
-            heapq.heappush(ready, j)
 
     def succeed(i: int, source: str, result) -> None:
         results[i] = result
@@ -688,7 +676,7 @@ def run_attempts(
             heapq.heappush(ready, i)
         elif attempts[i] > retries:
             errors[i] = error
-            release(i)  # a dead leader must not strand its group
+            release(i)
             if on_failed is not None:
                 on_failed(i, attempts[i], error)
         elif not stopping:
@@ -733,11 +721,7 @@ def run_attempts(
                 next_due = min(due for due, _ in delayed)
                 time.sleep(min(0.05, max(0.0, next_due - now)))
                 continue
-            if not holds:
-                break  # every point resolved to a result or an error
-            for leader in list(holds):  # unreachable; never strand
-                release(leader)
-            continue
+            break  # every point resolved to a result or an error
         done, _ = futures_wait(
             list(pending), timeout=0.05, return_when=FIRST_COMPLETED
         )

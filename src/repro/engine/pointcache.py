@@ -178,29 +178,59 @@ def _entry_path(fp: str) -> Path:
 RESULT_ATTRS = ("label", "from_cache", "sim_seconds")
 
 
-def load(fp: str, require_attrs: Optional[Tuple[str, ...]] = None) -> Optional[Any]:
-    """Cached value for fingerprint ``fp``, or None.
+def read_entry(path: Path, accept=lambda value: True) -> Optional[Any]:
+    """The unpickled entry at ``path``, or None on a miss.
 
-    A corrupt or unreadable entry behaves like a miss — the caller will
-    re-simulate and overwrite it. ``require_attrs`` duck-types the
-    unpickled value: anything missing one of the attributes is also a
-    miss. Hits refresh the entry's mtime so the size-bound pruning is
-    LRU rather than FIFO.
+    A missing, truncated or foreign file, or a value ``accept``
+    rejects, is a miss; the caller recomputes and overwrites it. Hits
+    refresh mtime so the size-bound pruning is LRU rather than FIFO.
     """
-    path = _entry_path(fp)
-    faults.on_cache_load(fp, path)
     try:
         with path.open("rb") as f:
             value = pickle.load(f)
     except _LOAD_ERRORS:
         return None
-    if require_attrs and not all(hasattr(value, a) for a in require_attrs):
-        return None  # wrong-class pickle: treat as a miss
+    if not accept(value):
+        return None
     try:
         os.utime(path)
     except OSError:
         pass
     return value
+
+
+def write_entry(path: Path, value: Any) -> None:
+    """Pickle ``value`` to ``path`` atomically (temp file + rename).
+
+    With ``REPRO_CACHE_MAX_MB`` set, least-recently-used entries are
+    then pruned until the cache fits; a malformed bound only skips the
+    pruning (``strict=False``), never fails a simulated point.
+    """
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as f:
+            pickle.dump(value, f, protocol=pickle.HIGHEST_PROTOCOL)
+        os.replace(tmp_name, path)
+    except BaseException:
+        try:
+            os.unlink(tmp_name)
+        except OSError:
+            pass
+        raise
+    limit = cache_max_bytes(strict=False)
+    if limit is not None:
+        prune(limit)
+
+
+def load(fp: str, require_attrs: Optional[Tuple[str, ...]] = None) -> Optional[Any]:
+    """Cached value for fingerprint ``fp``, or None (:func:`read_entry`);
+    a value missing one of ``require_attrs`` is a miss too."""
+    path = _entry_path(fp)
+    faults.on_cache_load(fp, path)
+    return read_entry(
+        path, lambda value: all(hasattr(value, a) for a in require_attrs or ())
+    )
 
 
 def mark_cache_hit(result: Any, label: str) -> Any:
@@ -218,27 +248,8 @@ def mark_cache_hit(result: Any, label: str) -> Any:
 
 
 def store(fp: str, value: Any) -> None:
-    """Persist ``value`` under fingerprint ``fp`` (atomic replace).
-
-    With ``REPRO_CACHE_MAX_MB`` set, least-recently-used entries are
-    pruned afterwards until the whole cache fits the bound.
-    """
-    directory = generation_dir()
-    directory.mkdir(parents=True, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as f:
-            pickle.dump(value, f, protocol=pickle.HIGHEST_PROTOCOL)
-        os.replace(tmp_name, _entry_path(fp))
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
-    limit = cache_max_bytes(strict=False)
-    if limit is not None:
-        prune(limit)
+    """Persist ``value`` under fingerprint ``fp`` (:func:`write_entry`)."""
+    write_entry(_entry_path(fp), value)
 
 
 # -- garbage collection -------------------------------------------------
@@ -351,7 +362,7 @@ def gc(
     salt (plus stray ``*.pkl``/``*.snap``/``*.tmp`` files at the cache
     root, left by the pre-generation layout or by crashed writers).
     ``*.tmp`` files *inside* the surviving generation — crash leftovers
-    of ``store``/``store_state``'s ``mkstemp`` — are collected too once
+    of :func:`write_entry`'s ``mkstemp`` — are collected too once
     older than ``tmp_max_age_s``, so a writer mid-dump is never raced.
     ``max_bytes`` defaults to ``REPRO_CACHE_MAX_MB``; None skips size
     pruning.

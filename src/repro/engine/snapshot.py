@@ -1,19 +1,20 @@
 """Content-addressed warm-state snapshots (DESIGN.md §14).
 
-Every grid point pays a full cache warmup before its measured window,
-yet the points of one figure usually differ only in a measure-phase
-knob (DDIO way mask, measure length). This module keys end-of-warmup
-simulator state by a *warmup fingerprint* — a hash over only the config
-fields that influence state up to the end of warmup — and stores the
-pickled state in the point cache's generation directory, so a fig5
-sweep over 8 way masks simulates warmup once and forks the other 7
-measured windows off restored state, and a re-run after a
-one-parameter edit only simulates the delta.
+Every grid point pays a full cache warmup before its measured window.
+This module keys end-of-warmup simulator state by a *warmup
+fingerprint* (a hash over only the config fields that influence state
+up to the end of warmup) and stores it in the point cache's generation
+directory. A later point with the same fingerprint, in a later run or
+a later ``run_points`` call (a rerun that changes only
+``REPRO_MEASURE``, say), misses the point cache but restores the stored
+warmup and simulates only its measured window. Within one run nothing
+waits for a snapshot: a serial run acquires each point after the
+previous one stored its state, parallel attempts simply race.
 
 Determinism contract: a restored point is bit-identical to one that
 re-simulated its warmup, per engine (the object and SoA engines key
 separate snapshots because their native state layouts differ). The
-restore is all-or-nothing — every field is validated against the live
+restore is all-or-nothing: every field is validated against the live
 simulator before anything is mutated, and any mismatch falls back to a
 normal warmup with a logged ``snapshot.fallback`` event. Observer
 and collocated points deterministically opt out (never capture, never
@@ -27,33 +28,22 @@ and the mutated backlog target is part of the captured state.
 Knobs: ``REPRO_SNAPSHOTS=0`` disables snapshots (default on); they are
 only active when the point cache is (``REPRO_NO_CACHE`` unset).
 Snapshots live under
-``<cache_dir>/<generation>/snapshots/<warmup_fp>.<engine>.snap``,
-count toward ``REPRO_CACHE_MAX_MB``, are pruned LRU alongside point
-entries (loads refresh mtime), and are garbage-collected with their
-code generation.
+``<cache_dir>/<generation>/snapshots/<warmup_fp>.<engine>.snap``, are
+written and read by the point cache's own helpers, count toward
+``REPRO_CACHE_MAX_MB``, are pruned LRU alongside point entries (loads
+refresh mtime), and are garbage-collected with their code generation.
 """
 
 from __future__ import annotations
 
 import os
-import pickle
-import tempfile
 from hashlib import sha256
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, Optional
 
 from repro.engine import pointcache
 
 SNAP_SUBDIR = "snapshots"
-
-#: process-local metrics; the cross-process metric is the manifest's
-#: per-point ``warm_restored`` flag (workers don't share this dict).
-counters: Dict[str, int] = {"captured": 0, "restored": 0, "fallbacks": 0}
-
-
-def reset_counters() -> None:
-    for key in counters:
-        counters[key] = 0
 
 
 def snapshots_enabled() -> bool:
@@ -105,71 +95,17 @@ def snapshot_path(wfp: str, engine: str) -> Path:
 
 
 def load_state(wfp: str, engine: str) -> Optional[Dict[str, Any]]:
-    """Unpickled warm state for ``wfp``, or None on miss/corruption.
+    """Unpickled warm state for ``wfp``, or None on a miss.
 
-    Like :func:`pointcache.load`, anything wrong with the entry — a
-    truncated pickle from a crashed writer, a foreign object, a stale
-    schema — degrades to a miss; the caller warms up normally and
-    overwrites it. Hits refresh mtime so pruning stays LRU.
+    Read by :func:`pointcache.read_entry`: a damaged or foreign entry is
+    a miss, so the caller warms up normally and overwrites it.
     """
-    path = snapshot_path(wfp, engine)
-    try:
-        with path.open("rb") as f:
-            state = pickle.load(f)
-    except pointcache._LOAD_ERRORS:
-        return None
-    if not isinstance(state, dict) or "version" not in state:
-        return None
-    try:
-        os.utime(path)
-    except OSError:
-        pass
-    return state
+    return pointcache.read_entry(
+        snapshot_path(wfp, engine),
+        lambda state: isinstance(state, dict) and "version" in state,
+    )
 
 
 def store_state(wfp: str, engine: str, state: Dict[str, Any]) -> None:
-    """Persist warm state atomically (temp file + rename).
-
-    Readers racing a crashed writer see either a complete snapshot or a
-    miss — never a partial file under the final name. The size bound is
-    applied with ``strict=False``: a malformed ``REPRO_CACHE_MAX_MB``
-    must not fail a point that already simulated.
-    """
-    path = snapshot_path(wfp, engine)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as f:
-            pickle.dump(state, f, protocol=pickle.HIGHEST_PROTOCOL)
-        os.replace(tmp_name, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
-    counters["captured"] += 1
-    limit = pointcache.cache_max_bytes(strict=False)
-    if limit is not None:
-        pointcache.prune(limit)
-
-
-# -- sweep grouping -----------------------------------------------------
-
-
-def warmup_groups(specs: Sequence[Any]) -> Dict[str, List[int]]:
-    """Spec indices grouped by shared warmup fingerprint (size >= 2).
-
-    Only groups that can actually share a snapshot are returned: the
-    first index of each group is the *leader* that simulates the warmup
-    and stores the snapshot; the rest are followers that restore it.
-    """
-    if not snapshots_enabled():
-        return {}
-    groups: Dict[str, List[int]] = {}
-    for i, spec in enumerate(specs):
-        if not eligible(spec):
-            continue
-        groups.setdefault(warmup_fingerprint(spec), []).append(i)
-    return {fp: idxs for fp, idxs in groups.items() if len(idxs) > 1}
-
+    """Persist warm state atomically (:func:`pointcache.write_entry`)."""
+    pointcache.write_entry(snapshot_path(wfp, engine), state)

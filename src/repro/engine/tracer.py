@@ -105,15 +105,6 @@ class TraceConfig:
     #: nontrivial arrival signal to infer. Participates in the
     #: point-cache fingerprint like ``observer``.
     burst: Optional[BurstProfile] = None
-    #: DDIO way count applied at the warmup->measure boundary (None =
-    #: the system-wide ``nic.ddio_ways`` throughout). This is the
-    #: measure-phase knob that lets a way-mask sweep share one warmup:
-    #: warmup runs with the system's mask, then the mask narrows/widens
-    #: to ``range(measure_ddio_ways)`` right after the stats reset — on
-    #: the snapshot and no-snapshot paths alike, so restored and
-    #: re-simulated points are bit-identical by construction. Requires a
-    #: DDIO-family policy (the DMA/ideal policies ignore the mask).
-    measure_ddio_ways: Optional[int] = None
 
     def make_policy(self) -> InjectionPolicy:
         return make_policy(self.policy, self.system.nic.ddio_ways)
@@ -474,17 +465,6 @@ class TraceSimulator:
         self.policy = cfg.make_policy()
         if isinstance(self.policy, DdioPolicy):
             self.policy.bind(self.hier)
-        if cfg.measure_ddio_ways is not None:
-            if not isinstance(self.policy, DdioPolicy):
-                raise ConfigError(
-                    "measure_ddio_ways requires a DDIO-family policy, "
-                    f"got {cfg.policy!r}"
-                )
-            if not 1 <= cfg.measure_ddio_ways <= system.llc.ways:
-                raise ConfigError(
-                    f"measure_ddio_ways must be in 1..{system.llc.ways}, "
-                    f"got {cfg.measure_ddio_ways}"
-                )
         #: True when the measured window was forked off a restored
         #: warm-state snapshot instead of a simulated warmup.
         self.warm_restored = False
@@ -856,14 +836,6 @@ class TraceSimulator:
         self.policy.__dict__.update(policy.__dict__)
         return True
 
-    def _apply_measure_overrides(self) -> None:
-        """Measure-phase config deltas, applied right after the stats
-        reset on the snapshot and no-snapshot paths alike (bit-identity
-        by construction). Currently just the DDIO way mask."""
-        ways = self.cfg.measure_ddio_ways
-        if ways is not None:
-            self.hier.set_ddio_way_mask(range(ways))
-
     def run(self, warm_state=None, on_warm=None) -> TraceResult:
         """Warm up, measure, and return per-request statistics.
 
@@ -905,7 +877,6 @@ class TraceSimulator:
                         error=f"{type(exc).__name__}: {exc}",
                     )
         self._reset_measurements()
-        self._apply_measure_overrides()
         if self.observer is not None:
             # Prime after the stats reset so the attacker observes only
             # the measure phase; the arrival baseline is taken here too.

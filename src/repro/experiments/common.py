@@ -23,9 +23,10 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Union
 
 from repro.engine.analytic import (
+    CollocatedPerf,
     PerfPoint,
     ServiceProfile,
     solve_peak_throughput,
@@ -71,7 +72,10 @@ class PointResult:
     system: SystemConfig
     trace: TraceResult
     profile: ServiceProfile
-    perf: PerfPoint
+    #: the analytic answer: peak throughput, or for a collocated point
+    #: the joint NF + X-Mem operating point (its ``throughput_mrps`` is
+    #: the NF's)
+    perf: Union[PerfPoint, CollocatedPerf]
     #: wall-clock seconds the trace simulation took (0.0 for legacy pickles)
     sim_seconds: float = 0.0
     #: True when this result was served from the persistent point cache
@@ -244,7 +248,6 @@ def point_spec(
     observer=None,
     burst=None,
     measure_requests: Optional[int] = None,
-    measure_ddio_ways: Optional[int] = None,
     colocation=None,
 ) -> PointSpec:
     """Describe one grid point as a picklable, cacheable spec.
@@ -253,10 +256,8 @@ def point_spec(
     self-contained (and so fidelity knobs participate in the cache
     fingerprint). An explicit ``measure_requests`` overrides the
     settings-derived count (the figS* observers need more probes than
-    the default measure window provides). ``measure_ddio_ways`` narrows
-    or widens the DDIO way mask at the warmup->measure boundary only —
-    the knob that lets a way-mask sweep share one warmup snapshot
-    (DESIGN.md §14). ``colocation`` adds the X-Mem tenant of Figure 9.
+    the default measure window provides). ``colocation`` adds the X-Mem
+    tenant of Figure 9.
     """
     settings = settings if settings is not None else ExperimentSettings()
     if measure_requests is None:
@@ -282,7 +283,6 @@ def point_spec(
         measure_requests=measure_requests,
         observer=observer,
         burst=burst,
-        measure_ddio_ways=measure_ddio_ways,
         colocation=colocation,
     )
 

@@ -21,11 +21,7 @@ import dataclasses
 from dataclasses import dataclass
 from typing import List, Optional
 
-from repro.engine.analytic import (
-    CollocatedPerf,
-    ServiceProfile,
-    solve_collocated,
-)
+from repro.engine.analytic import CollocatedPerf
 from repro.engine.parallel import PointSpec, run_points
 from repro.experiments.common import (
     ExperimentSettings,
@@ -35,7 +31,6 @@ from repro.experiments.common import (
     l3fwd_workload,
     point_spec,
 )
-from repro.traffic import MemCategory
 from repro.workloads.xmem import Colocation
 
 PARTITIONS_9A = ((2, 10), (4, 8), (6, 6), (8, 4), (10, 2))
@@ -54,8 +49,6 @@ class CollocationPoint:
     xmem_ways: Optional[int]
     sweeper: bool
     perf: CollocatedPerf
-    nf_blocks_per_request: float
-    xmem_blocks_per_access: float
 
 
 def clamp(settings: ExperimentSettings) -> ExperimentSettings:
@@ -103,33 +96,15 @@ def specs(settings: ExperimentSettings) -> List[PointSpec]:
 
 
 def collocated_point(spec: PointSpec, result: PointResult) -> CollocationPoint:
-    """Solve the joint NF + X-Mem operating point of a simulated spec."""
-    cores = spec.system.cpu.num_cores
-    trace = result.trace
-    per_req = trace.per_request()
-    app = per_req[MemCategory.CPU_OTHER_RD] + per_req[MemCategory.OTHER_EVCT]
-    nf_blocks = trace.mem_accesses_per_request() - app
-    nf_profile = dataclasses.replace(
-        ServiceProfile.from_trace(trace), mem_blocks_total=nf_blocks
-    )
-    xmem_blocks = app * trace.requests / max(trace.xmem_accesses, 1)
-    perf = solve_collocated(
-        nf_profile,
-        trace.xmem_level_counts,
-        xmem_blocks,
-        spec.system,
-        nf_cores=cores // 2,
-        xmem_cores=cores - cores // 2,
-    )
+    """A simulated spec's joint NF + X-Mem operating point, as
+    ``run_spec`` solved it."""
     xmem_ways = spec.colocation.xmem_ways
     return CollocationPoint(
         label=spec.label,
         ddio_ways=spec.system.nic.ddio_ways,
         xmem_ways=None if xmem_ways is None else len(xmem_ways),
         sweeper=spec.sweeper,
-        perf=perf,
-        nf_blocks_per_request=nf_blocks,
-        xmem_blocks_per_access=xmem_blocks,
+        perf=result.perf,
     )
 
 

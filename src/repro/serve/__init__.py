@@ -34,12 +34,19 @@ from repro.serve.jobs import (
     JobRequest,
     parse_job_request,
 )
-from repro.serve.scheduler import BACKENDS, JobScheduler, QueueFull, UnknownJob
+from repro.serve.scheduler import (
+    BACKENDS,
+    JobPruned,
+    JobScheduler,
+    QueueFull,
+    UnknownJob,
+)
 
 __all__ = [
     "BACKENDS",
     "BadRequest",
     "Job",
+    "JobPruned",
     "JobRequest",
     "JobScheduler",
     "QueueFull",

@@ -10,7 +10,8 @@ POST      /jobs                   submit a job (201; 400 bad request;
                                   the body names the tenant, its
                                   limit, and current usage)
 GET       /jobs                   list job snapshots
-GET       /jobs/<id>              one job's state + progress
+GET       /jobs/<id>              one job's state + progress (410
+                                  once a finished job is pruned)
 GET       /jobs/<id>/result       finished job's result (shared schema;
                                   409 until the job is done)
 GET       /jobs/<id>/events       cursor-based event polling
@@ -54,6 +55,7 @@ from repro.serve.scheduler import (
     BACKENDS,
     DEFAULT_MAX_CONCURRENT_JOBS,
     DEFAULT_QUEUE_LIMIT,
+    JobPruned,
     JobScheduler,
     QueueFull,
     UnknownJob,
@@ -106,6 +108,13 @@ class ServeHandler(BaseHTTPRequestHandler):
 
     def _error(self, status: int, message: str) -> None:
         self._send(status, {"error": message})
+
+    def _pruned(self, exc: JobPruned) -> None:
+        self._error(
+            410,
+            f"job {exc.args[0]!r} finished and was pruned: the daemon "
+            "keeps only its most recently finished jobs",
+        )
 
     def _read_json(self) -> Any:
         length = int(self.headers.get("Content-Length") or 0)
@@ -191,6 +200,8 @@ class ServeHandler(BaseHTTPRequestHandler):
                         200, {"events": events, "cursor": next_cursor}
                     )
             return self._error(404, f"no route for GET {path}")
+        except JobPruned as exc:
+            return self._pruned(exc)
         except UnknownJob as exc:
             return self._error(404, f"unknown job {exc.args[0]!r}")
         except BadRequest as exc:
@@ -261,6 +272,8 @@ class ServeHandler(BaseHTTPRequestHandler):
             return self._error(404, f"no route for DELETE {path}")
         try:
             job = self.server.scheduler.cancel(parts[1])
+        except JobPruned as exc:
+            return self._pruned(exc)
         except UnknownJob as exc:
             return self._error(404, f"unknown job {exc.args[0]!r}")
         return self._send(200, job.snapshot())

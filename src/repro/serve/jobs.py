@@ -197,7 +197,10 @@ class Job:
         self.deduped_points = 0
         self.simulated_points = 0
         self.retried_points = 0
+        #: the done job's ``PointResult``s, until :meth:`release_results`
+        #: swaps them for the rows ``GET /result`` serves
         self.results: List[Any] = []
+        self._rows: List[Dict[str, Any]] = []
         self.cancel_requested = False
         self._events: List[Dict[str, Any]] = []
         self._lock = threading.Lock()
@@ -282,7 +285,20 @@ class Job:
             "point.retry", label=label, attempt=attempt, error=error
         )
 
+    def release_results(self) -> None:
+        """Drop the ``PointResult``s, keeping the rows of the result."""
+        with self._lock:
+            self._rows = self._result_rows()
+            self.results = []
+
     # -- serialization --------------------------------------------------
+
+    def _result_rows(self) -> List[Dict[str, Any]]:
+        from repro.experiments.common import point_row
+
+        if not self.results:
+            return list(self._rows)
+        return [point_row(p, self.request.scale) for p in self.results]
 
     def snapshot(self) -> Dict[str, Any]:
         """State + progress, the ``GET /jobs/<id>`` body."""
@@ -309,10 +325,7 @@ class Job:
 
     def result_dict(self) -> Dict[str, Any]:
         """The shared result schema (identical to the CLI's ``--json``)."""
-        from repro.experiments.common import (
-            RESULT_SCHEMA_VERSION,
-            point_row,
-        )
+        from repro.experiments.common import RESULT_SCHEMA_VERSION
 
         with self._lock:
             if self.state != "done":
@@ -324,9 +337,7 @@ class Job:
                 "figure": self.request.name,
                 "title": f"repro.serve job {self.id}",
                 "scale": self.request.scale,
-                "rows": [
-                    point_row(p, self.request.scale) for p in self.results
-                ],
+                "rows": self._result_rows(),
                 "series": {},
                 "notes": [],
             }

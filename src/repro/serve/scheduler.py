@@ -21,7 +21,12 @@ lock:
   simulating again — cross-job dedup. Completed simulations are stored
   into the persistent point cache, so later identical submissions hit
   the cache without simulating at all.
-* the **job table** ``id -> Job`` for the API's lookups.
+* the **job table** ``id -> Job`` for the API's lookups. It is bounded:
+  only the :data:`KEEP_RESULTS` most recently finished jobs keep their
+  ``PointResult``s (older ones keep the rows their ``GET /result``
+  serves), and only :data:`KEEP_FINISHED` finished jobs are kept at
+  all. A forgotten job's lookups raise :class:`JobPruned` (HTTP 410)
+  until as many more have been forgotten after it.
 
 Execution is admission plus HTTP around the one execution core of
 :mod:`repro.engine.parallel`: each job thread drives
@@ -29,9 +34,9 @@ Execution is admission plus HTTP around the one execution core of
 uses, over the shared :class:`~repro.engine.parallel.PointPool`
 (``REPRO_WORKERS`` > 1 processes, else one in-process thread) or, with
 the cluster backend, the coordinator's lease queue. Either way a served
-point is bit-identical to a local run, warmup-group followers wait for
-their leader's snapshot, and each job writes the usual run manifest via
-the helpers shared with ``run_points``.
+point is bit-identical to a local run, a point restores a warm-state
+snapshot that an earlier job or run stored, and each job writes the
+usual run manifest via the helpers shared with ``run_points``.
 
 Cancellation: a queued job is dropped before it starts; a running job
 stops at the next point boundary: points already running finish and
@@ -53,8 +58,9 @@ from __future__ import annotations
 import copy
 import threading
 import time
+from collections import deque
 from concurrent.futures import Future
-from typing import Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.engine import pointcache
 from repro.errors import ConfigError
@@ -84,6 +90,10 @@ from repro.serve.jobs import Job, JobRequest
 
 DEFAULT_QUEUE_LIMIT = 64
 DEFAULT_MAX_CONCURRENT_JOBS = 4
+#: finished jobs that keep their ``PointResult``s; older ones keep rows.
+KEEP_RESULTS = 8
+#: finished jobs kept in the job table; older ones are forgotten.
+KEEP_FINISHED = 1024
 
 #: execution backends (DESIGN.md §10): ``local`` keeps the daemon's own
 #: executor; ``cluster`` hands every fresh point to the lease queue for
@@ -123,6 +133,10 @@ class RateLimited(QueueFull):
 
 class UnknownJob(KeyError):
     """No job with the given id (HTTP 404)."""
+
+
+class JobPruned(UnknownJob):
+    """The job finished and was forgotten to bound memory (HTTP 410)."""
 
 
 class JobScheduler:
@@ -173,6 +187,8 @@ class JobScheduler:
         self._tenant_running: Dict[str, int] = {}
         self._buckets: Dict[str, TokenBucket] = {}
         self._jobs: Dict[str, Job] = {}
+        self._finished: Deque[Job] = deque()
+        self._pruned: Dict[str, None] = {}  # insertion-ordered ids
         self._inflight: Dict[str, Future] = {}
         self._stopping = False
         self._draining = False
@@ -383,6 +399,9 @@ class JobScheduler:
     def get(self, job_id: str) -> Job:
         with self._lock:
             job = self._jobs.get(job_id)
+            pruned = job_id in self._pruned
+        if pruned:
+            raise JobPruned(job_id)
         if job is None:
             raise UnknownJob(job_id)
         return job
@@ -413,6 +432,7 @@ class JobScheduler:
                 self._queued -= 1
                 self.m_queue_depth.set(self._queued)
                 self._dec_tenant_queued(job.request.tenant)
+                self._retain(job)
         if claimed:
             self.m_finished.labels(state="cancelled").inc()
         self._log.info("serve.job.cancel", job=job.id, state=job.state)
@@ -426,6 +446,19 @@ class JobScheduler:
         for job in jobs:
             out[job.state] = out.get(job.state, 0) + 1
         return out
+
+    def _retain(self, job: Job) -> None:
+        """Bound what finished jobs keep, now that ``job`` finished
+        (lock held): see :data:`KEEP_RESULTS` / :data:`KEEP_FINISHED`."""
+        self._finished.append(job)
+        if len(self._finished) > KEEP_RESULTS:
+            self._finished[-KEEP_RESULTS - 1].release_results()
+        if len(self._finished) > KEEP_FINISHED:
+            gone = self._finished.popleft()
+            del self._jobs[gone.id]
+            self._pruned[gone.id] = None
+            if len(self._pruned) > KEEP_FINISHED:
+                del self._pruned[next(iter(self._pruned))]
 
     def _dec_tenant_queued(self, tenant: str) -> None:
         """Drop one queued job from a tenant's count (lock held)."""
@@ -515,6 +548,7 @@ class JobScheduler:
                     if t is not threading.current_thread()
                 ]
                 self._wake.notify_all()
+                self._retain(job)
 
     # -- per-job execution ----------------------------------------------
 

@@ -34,6 +34,7 @@ import pytest
 from repro.cache.hierarchy import AccessLevel, CacheHierarchy
 from repro.engine import native, result_identity
 from repro.engine.batch import BatchHierarchy, build_hierarchy
+from repro.engine.parallel import run_spec
 from repro.engine.tracer import (
     CollocationSimulator,
     _FusedLoop,
@@ -41,7 +42,12 @@ from repro.engine.tracer import (
     TraceSimulator,
 )
 from repro.errors import ConfigError, ProtocolError
-from repro.experiments.common import ExperimentSettings
+from repro.experiments.common import (
+    ExperimentSettings,
+    kvs_system,
+    kvs_workload,
+    point_spec,
+)
 from repro.mem.layout import RegionKind
 from repro.nic.arrivals import BurstProfile
 from repro.obs.timeline import ObsContext
@@ -302,6 +308,30 @@ def test_fig_harness_equivalence(fig):
             assert (obj.leak["engine"], bat.leak["engine"]) == ("object", engine)
             assert _without_engine(obj.leak) == _without_engine(bat.leak)
             assert obj_sim.observer.records == bat_sim.observer.records
+
+
+@needs_kernel
+def test_reference_point_equivalence(monkeypatch):
+    """The full-length reference point (scale 0.1, default warmup and
+    measured window) through ``run_spec``: both engines solve the same
+    throughput from the same cache totals, and a point without an
+    observer carries no leak summary."""
+    spec = point_spec(
+        "reference",
+        kvs_system(0.1, 1024, 2, 1024),
+        kvs_workload(0.1, 1024),
+        "ddio",
+        settings=ExperimentSettings(scale=0.1),
+    )
+    monkeypatch.setenv("REPRO_SNAPSHOTS", "0")
+    results = []
+    for engine in ("object", "batch"):
+        monkeypatch.setenv("REPRO_ENGINE", engine)
+        results.append(run_spec(spec))
+    obj, bat = results
+    assert bat.throughput_mrps == obj.throughput_mrps
+    assert bat.trace.cache_totals == obj.trace.cache_totals
+    assert obj.trace.leak is None and bat.trace.leak is None
 
 
 #: zoo geometries, as (make_tiny_system arguments, policy attributes,

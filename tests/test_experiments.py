@@ -6,10 +6,17 @@ exists to show. The benchmarks re-run the same harnesses at the larger
 default scale and print the full rows.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.engine import snapshot
-from repro.engine.parallel import last_run_dir
+from repro.engine.analytic import (
+    ServiceProfile,
+    solve_collocated,
+    solve_peak_throughput,
+)
+from repro.engine.parallel import last_run_dir, run_spec
 from repro.engine.pointcache import fingerprint
 from repro.experiments import REGISTRY, fig1, fig2, fig5, fig6, fig7, fig8, fig9, fig10
 from repro.experiments import headline, table1
@@ -212,7 +219,39 @@ class TestFig9:
     def test_specs_are_distinct_and_share_no_warmup(self):
         specs = fig9.specs(SETTINGS)
         assert len({fingerprint(s) for s in specs}) == len(specs) == 22
-        assert snapshot.warmup_groups(specs) == {}
+        warmups = {snapshot.warmup_fingerprint(s) for s in specs}
+        assert len(warmups) == 22
+
+    def test_collocated_run_spec_carries_the_joint_answer(self):
+        """``run_spec`` solves a collocated point's NF + X-Mem fixed
+        point, not the NF's throughput as if it ran alone."""
+        spec = dataclasses.replace(
+            fig9.collocated_spec(fig9.clamp(SETTINGS), 4, False, partitioned=True),
+            warmup_requests=400,
+            measure_requests=600,
+        )
+        result = run_spec(spec)
+        trace, cores = result.trace, spec.system.cpu.num_cores
+        per_req = trace.per_request()
+        app = per_req[MemCategory.CPU_OTHER_RD] + per_req[MemCategory.OTHER_EVCT]
+        nf_profile = dataclasses.replace(
+            ServiceProfile.from_trace(trace),
+            mem_blocks_total=trace.mem_accesses_per_request() - app,
+        )
+        joint = solve_collocated(
+            nf_profile,
+            trace.xmem_level_counts,
+            app * trace.requests / trace.xmem_accesses,
+            spec.system,
+            nf_cores=cores // 2,
+            xmem_cores=cores - cores // 2,
+        )
+        assert result.perf == joint
+        assert result.throughput_mrps == joint.nf_throughput_mrps
+        assert result.mem_bandwidth_gbps == joint.mem_bandwidth_gbps
+        alone = solve_peak_throughput(result.profile, spec.system)
+        assert result.throughput_mrps < alone.throughput_mrps
+        assert fig9.collocated_point(spec, result).perf is result.perf
 
     def test_second_run_is_all_cache_hits(self, result):
         again = fig9.run(settings=SETTINGS)

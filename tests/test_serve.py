@@ -37,6 +37,7 @@ from repro.experiments.common import (
 from repro.obs.manifest import RunManifest, runs_dir
 from repro.obs.validate import validate_run_dir
 from repro.serve import (
+    JobPruned,
     JobScheduler,
     QueueFull,
     ServeClient,
@@ -45,6 +46,7 @@ from repro.serve import (
     create_server,
     parse_job_request,
 )
+from repro.serve import scheduler as scheduler_module
 from repro.serve.jobs import BadRequest, JobRequest, TERMINAL_STATES
 
 SCALE = 0.05
@@ -526,6 +528,47 @@ class TestServeHTTP:
         with pytest.raises(ServeError) as err:
             client.events(job["id"], cursor=-1)
         assert err.value.status == 400
+
+
+    def test_finished_jobs_are_bounded(self, make_server, monkeypatch):
+        """Only the newest finished jobs keep their PointResults, and
+        only a bounded number are kept at all; a pruned job's GET is a
+        410 that says so, while a never-seen id stays a 404."""
+        monkeypatch.setattr(scheduler_module, "KEEP_RESULTS", 2)
+        monkeypatch.setattr(scheduler_module, "KEEP_FINISHED", 3)
+        client = make_server(max_concurrent_jobs=1)
+        scheduler = client.scheduler
+        jobs, rows = [], []
+        for i in range(6):  # point-cache hits after the first job
+            job = scheduler.submit(one_request(f"j{i}", 7))
+            wait_terminal([job], timeout=120)
+            assert scheduler.wait_idle(timeout=30)  # its thread retired it
+            assert job.state == "done", job.error
+            jobs.append(job)
+            rows.append(client.result(job.id)["rows"])
+        assert [j.id for j in scheduler.jobs()] == [j.id for j in jobs[3:]]
+        assert [len(j.results) for j in jobs] == [0, 0, 0, 0, 1, 1]
+        for job, before in zip(jobs[3:], rows[3:]):
+            assert client.result(job.id)["rows"] == before
+        for job in jobs[:3]:
+            with pytest.raises(JobPruned):
+                scheduler.get(job.id)
+            for call in (client.job, client.result, client.events, client.cancel):
+                with pytest.raises(ServeError) as err:
+                    call(job.id)
+                assert err.value.status == 410
+                assert "pruned" in str(err.value)
+        with pytest.raises(ServeError) as err:
+            client.job("job-missing")
+        assert err.value.status == 404
+        # The pruned ids are bounded too: once three more are forgotten,
+        # the first three are unknown.
+        for i in range(3):
+            wait_terminal([scheduler.submit(one_request(f"k{i}", 7))], timeout=120)
+        assert scheduler.wait_idle(timeout=30)
+        with pytest.raises(UnknownJob) as unknown:
+            scheduler.get(jobs[0].id)
+        assert not isinstance(unknown.value, JobPruned)
 
 
 class TestServeClientTransport:

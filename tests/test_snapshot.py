@@ -51,8 +51,13 @@ SCALE = 0.05
 SETTINGS = ExperimentSettings(scale=SCALE, measure_multiplier=0.1)
 
 
-def sweep_spec(label="p", measure_ways=None, seed=42, **overrides) -> PointSpec:
-    """One point of a way-mask sweep: warmup shared, measure mask varies."""
+#: measured-window lengths of a sweep whose points share one warmup
+MEASURES = (500, 600, 700)
+
+
+def sweep_spec(label="p", seed=42, **overrides) -> PointSpec:
+    """One point of a measure-length sweep: warmup shared, measured
+    window (``measure_requests``, 500 by default) varies."""
     spec = point_spec(
         label,
         kvs_system(SCALE, 64, 4, 512),
@@ -60,7 +65,6 @@ def sweep_spec(label="p", measure_ways=None, seed=42, **overrides) -> PointSpec:
         "ddio",
         settings=SETTINGS,
         seed=seed,
-        measure_ddio_ways=measure_ways,
     )
     if overrides:
         spec = dataclasses.replace(spec, **overrides)
@@ -72,7 +76,6 @@ def cache_dir(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "pointcache"))
     monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
     monkeypatch.delenv("REPRO_SNAPSHOTS", raising=False)
-    snapshot.reset_counters()
     return tmp_path / "pointcache"
 
 
@@ -97,8 +100,8 @@ class TestWarmupFingerprint:
     def test_measure_knobs_share_fingerprint(self):
         base = sweep_spec()
         same_warmup = [
-            sweep_spec(measure_ways=2),
-            sweep_spec(measure_ways=4),
+            sweep_spec(measure_requests=600),
+            sweep_spec(measure_requests=700),
             sweep_spec(measure_requests=999),
             sweep_spec(label="other-label"),
         ]
@@ -162,24 +165,6 @@ class TestWarmupFingerprint:
             assert variant.warmup_key() != base.warmup_key()
             assert variant.cache_key() != base.cache_key()
 
-    def test_warmup_groups_lead_with_first_index(
-        self, cache_dir, monkeypatch
-    ):
-        specs = [
-            sweep_spec("lone", seed=99),
-            sweep_spec("a", measure_ways=2),
-            sweep_spec("b", measure_ways=3),
-            sweep_spec("c", measure_ways=4),
-        ]
-        groups = snapshot.warmup_groups(specs)
-        assert list(groups.values()) == [[1, 2, 3]]
-        # Reversed: the group's first index leads, the lone spec stays
-        # out of every group.
-        assert list(snapshot.warmup_groups(specs[::-1]).values()) == [[0, 1, 2]]
-        # Snapshots off -> no grouping.
-        monkeypatch.setenv("REPRO_SNAPSHOTS", "0")
-        assert snapshot.warmup_groups(specs) == {}
-
 
 @pytest.mark.parametrize("engine", ["object", "batch"])
 class TestBitIdentity:
@@ -195,14 +180,13 @@ class TestBitIdentity:
     ):
         monkeypatch.setenv("REPRO_ENGINE", engine)
         specs = [
-            sweep_spec(f"ways {w}", measure_ways=w) for w in (2, 3, 4)
+            sweep_spec(f"measure {m}", measure_requests=m) for m in MEASURES
         ]
         baseline = self._baseline(specs, monkeypatch)
+        # Serial: each point is acquired after the previous one stored
+        # its warm state, so the later points restore the first's.
         results = run_points(specs, max_workers=1)
         assert [r.warm_restored for r in results] == [False, True, True]
-        assert snapshot.counters["restored"] == 2
-        assert snapshot.counters["captured"] == 1
-        assert snapshot.counters["fallbacks"] == 0
         assert len(list(cache_dir.rglob("*.snap"))) == 1
         for fresh, restored in zip(baseline, results):
             assert_bit_identical(fresh, restored)
@@ -213,8 +197,8 @@ class TestBitIdentity:
         # The incremental-sweep story: re-running after a measure-only
         # edit misses the point cache but restores the warmup snapshot.
         monkeypatch.setenv("REPRO_ENGINE", engine)
-        run_cached_spec(sweep_spec(measure_ways=2))
-        edited = sweep_spec(measure_ways=2, measure_requests=600)
+        run_cached_spec(sweep_spec())
+        edited = sweep_spec(measure_requests=600)
         result = run_cached_spec(edited)
         assert not result.from_cache
         assert result.warm_restored
@@ -253,13 +237,12 @@ class TestBitIdentity:
         monkeypatch.setenv("REPRO_ENGINE", engine)
         specs = [
             sweep_spec(
-                f"ways {w}",
-                measure_ways=w,
+                f"measure {m}",
                 workload=built(),
                 warmup_requests=1000,
-                measure_requests=1000,
+                measure_requests=m,
             )
-            for w in (2, 3)
+            for m in (1000, 1100)
         ]
         baseline = self._baseline(specs, monkeypatch)
         results = run_points(specs, max_workers=1)
@@ -322,42 +305,53 @@ def test_stamps_captured_for_lru_caches_only(replacement):
 
 class TestParallelRestores:
     def test_workers_share_one_warmup(self, cache_dir, monkeypatch, tmp_path):
+        """A run at 2 workers, then served: each restores every point
+        off the warm state that an earlier run with other measured
+        windows stored, bit-identical to re-simulating the warmup."""
         specs = [
-            sweep_spec(f"ways {w}", measure_ways=w) for w in (2, 3, 4)
+            sweep_spec(f"measure {m}", measure_requests=m) for m in MEASURES
+        ]
+        earlier = [
+            sweep_spec(f"earlier {m}", measure_requests=m + 50)
+            for m in MEASURES
         ]
         monkeypatch.setenv("REPRO_SNAPSHOTS", "0")
         baseline = [run_spec(s) for s in specs]
         monkeypatch.delenv("REPRO_SNAPSHOTS")
+        run_points(earlier, max_workers=2)
         results = run_points(specs, max_workers=2)
-        # Followers were gated on the leader, so both restored — the
-        # counters live in the worker processes, so assert through the
-        # manifest instead.
+        # Each worker process restored: assert through the manifest.
         manifest = json.loads(
             (last_run_dir() / "manifest.json").read_text()
         )
         restored = [p["warm_restored"] for p in manifest["points"]]
-        assert restored == [False, True, True]
+        assert restored == [True, True, True]
         wfps = {p["warmup_fingerprint"] for p in manifest["points"]}
         assert len(wfps) == 1 and None not in wfps
         for fresh, restored_result in zip(baseline, results):
             assert_bit_identical(fresh, restored_result)
-        # The daemon gates followers the same way (fresh cache, so
-        # every point simulates and no snapshot exists yet).
+        # The daemon restores the same way, from an earlier job's warm
+        # state (fresh cache, so the earlier job simulates every point).
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "served"))
-        scheduler = JobScheduler(workers=2)
-        job = scheduler.submit(JobRequest("warm", specs, SCALE))
+        # One job at a time, in submission order: the earlier job first.
+        scheduler = JobScheduler(workers=2, max_concurrent_jobs=1)
+        jobs = [
+            scheduler.submit(JobRequest("earlier", earlier, SCALE)),
+            scheduler.submit(JobRequest("warm", specs, SCALE)),
+        ]
         scheduler.start()
         deadline = time.monotonic() + 120
-        while job.state not in TERMINAL_STATES:
-            assert time.monotonic() < deadline, f"job stuck {job.state}"
+        while any(job.state not in TERMINAL_STATES for job in jobs):
+            assert time.monotonic() < deadline, [j.state for j in jobs]
             time.sleep(0.01)
         scheduler.stop()
+        job = jobs[1]
         assert job.state == "done", job.error
         manifest = json.loads(
             (runs_dir() / job.run_id / "manifest.json").read_text()
         )
         restored = [p["warm_restored"] for p in manifest["points"]]
-        assert restored == [False, True, True]
+        assert restored == [True, True, True]
         for fresh, served in zip(baseline, job.results):
             assert_bit_identical(fresh, served)
 
@@ -387,8 +381,7 @@ class TestCollocationCarveOut:
         self, cache_dir, monkeypatch
     ):
         """A collocated point never captures or restores, so it neither
-        looks a snapshot up, nor records a warmup fingerprint, nor holds
-        a sibling back as a warmup group."""
+        looks a snapshot up nor records a warmup fingerprint."""
         spec = dataclasses.replace(
             fig9.collocated_spec(fig9.clamp(SETTINGS), 4, False, partitioned=True),
             warmup_requests=200,
@@ -396,7 +389,6 @@ class TestCollocationCarveOut:
         )
         longer = dataclasses.replace(spec, label="longer", measure_requests=400)
         assert not snapshot.eligible(spec)
-        assert snapshot.warmup_groups([spec, longer]) == {}
         loads = []
         monkeypatch.setattr(
             snapshot, "load_state", lambda *args: loads.append(args)
@@ -419,8 +411,8 @@ class TestSpecIsReadOnly:
     def test_run_leaves_spec_unchanged(self, cache_dir, monkeypatch, engine):
         monkeypatch.setenv("REPRO_ENGINE", engine)
         specs = [
-            sweep_spec("a", measure_ways=2, **self.SHORT),
-            sweep_spec("b", measure_ways=3, **self.SHORT),
+            sweep_spec("a", **self.SHORT),
+            sweep_spec("b", **dict(self.SHORT, measure_requests=350)),
         ]
         before = [pickle.dumps(s) for s in specs]
         results = [run_spec(s) for s in specs]
@@ -432,16 +424,17 @@ class TestSpecIsReadOnly:
     ):
         monkeypatch.setenv("REPRO_ENGINE", engine)
         monkeypatch.setenv("REPRO_SNAPSHOTS", "0")
-        spec = sweep_spec(measure_ways=2, **self.SHORT)
+        spec = sweep_spec(**self.SHORT)
         first, second = run_spec(spec), run_spec(spec)
         assert result_identity(first) == result_identity(second)
 
     def test_no_workload_outlives_its_run(self, cache_dir, monkeypatch, engine):
         monkeypatch.setenv("REPRO_ENGINE", engine)
         specs = [
-            sweep_spec("a", measure_ways=2, **self.SHORT),
-            sweep_spec("b", measure_ways=3, **self.SHORT),  # restores a's warmup
-            sweep_spec("c", measure_ways=2, seed=43, **self.SHORT),
+            sweep_spec("a", **self.SHORT),
+            # restores a's warmup
+            sweep_spec("b", **dict(self.SHORT, measure_requests=350)),
+            sweep_spec("c", seed=43, **self.SHORT),
         ]
         gc.collect()
         before = {id(o) for o in gc.get_objects() if isinstance(o, ZipfGenerator)}
@@ -481,20 +474,20 @@ class TestSnapshotDurability:
     def test_truncated_snapshot_falls_back_then_heals(
         self, cache_dir, monkeypatch
     ):
-        leader = sweep_spec(measure_ways=2)
-        follower = sweep_spec(measure_ways=3)
+        first = sweep_spec(measure_requests=MEASURES[0])
+        second = sweep_spec(measure_requests=MEASURES[1])
         monkeypatch.setenv("REPRO_SNAPSHOTS", "0")
-        fresh = run_spec(follower)
+        fresh = run_spec(second)
         monkeypatch.delenv("REPRO_SNAPSHOTS")
-        run_spec(leader)
+        run_spec(first)
         (snap,) = list(cache_dir.rglob("*.snap"))
         snap.write_bytes(snap.read_bytes()[: snap.stat().st_size // 2])
-        healed = run_spec(follower)
+        healed = run_spec(second)
         # The truncated blob is a miss -> normal warmup (bit-identical)
         # and a fresh capture overwrites the damage.
         assert not healed.warm_restored
         assert_bit_identical(fresh, healed)
-        third = run_spec(sweep_spec(measure_ways=4))
+        third = run_spec(sweep_spec(measure_requests=MEASURES[2]))
         assert third.warm_restored
 
     def test_restore_validation_is_all_or_nothing(self, cache_dir, monkeypatch):
@@ -533,26 +526,6 @@ class TestSnapshotDurability:
             before = sim.hier.llc.occupancy()
             assert not sim.restore_warm_state(bad)
             assert sim.hier.llc.occupancy() == before  # nothing mutated
-
-    def test_measure_ddio_ways_validated_at_construction(self):
-        with pytest.raises(ConfigError):
-            TraceSimulator(
-                TraceConfig(
-                    system=kvs_system(SCALE, 64, 4, 512),
-                    workload=kvs_workload(0.02, 512),
-                    policy="dma",  # not DDIO-family
-                    measure_ddio_ways=2,
-                )
-            )
-        with pytest.raises(ConfigError):
-            TraceSimulator(
-                TraceConfig(
-                    system=kvs_system(SCALE, 64, 4, 512),
-                    workload=kvs_workload(0.02, 512),
-                    policy="ddio",
-                    measure_ddio_ways=99,  # > LLC associativity
-                )
-            )
 
 
 class TestPointcacheFixes:
